@@ -11,6 +11,7 @@ from .analysis import (
     BoundKind,
     IndexRange,
     LoopSummary,
+    ProgramFacts,
     analyze_program,
     collect_arrays,
     full_array_access,
@@ -52,6 +53,7 @@ __all__ = [
     "OracleConfig",
     "ParseError",
     "PrecisionVerdict",
+    "ProgramFacts",
     "Trace",
     "TransformResult",
     "Verdict",

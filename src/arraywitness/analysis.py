@@ -1,5 +1,6 @@
-"""Static facts feeding the transformation: array inventory, full-access
-detection, modified-variable sets and constant loop bounds.
+"""Static facts feeding the transformation and the precision rules: array
+inventory, full-access detection, modified-variable sets, loop bounds, and
+per-node context and def index (``ProgramFacts``).
 
 Safe directions differ per analysis and are relied on by the transformation:
 ``full_array_access`` may only err towards ``False`` (under-approximation),
@@ -20,6 +21,8 @@ from .astnodes import (
     Const,
     Continue,
     For,
+    If,
+    IfElse,
     Program,
     Read,
     Var,
@@ -277,3 +280,52 @@ def analyze_program(p: Program) -> tuple[list[ArrayInfo], dict[int, LoopSummary]
         if isinstance(loop, For)
     }
     return arrays, summaries
+
+
+class ProgramFacts:
+    """What the transformation and the precision rules read about a program,
+    computed once: one :func:`analyze_program` call and one walk of the body.
+    Every lookup afterwards is a dictionary access, so a client that follows
+    def chains pays only for the chains it follows.
+
+    - ``arrays``, ``summaries``: as :func:`analyze_program` returns them;
+    - ``loops``, ``guards``: per node (keyed by ``id``), its enclosing loops
+      and the conditions of its enclosing ifs, outermost first;
+    - ``order``: per node (keyed by ``id``), its pre-order position;
+    - ``nodes``: location id -> node;
+    - ``defs``, ``writes``: per scalar, its assignments, and per array, its
+      element writes, in program order;
+    - ``iterators``: the iterator names of all loops.
+    """
+
+    def __init__(self, p: Program):
+        self.arrays, self.summaries = analyze_program(p)
+        self.loops: dict[int, tuple[For, ...]] = {}
+        self.guards: dict[int, tuple] = {}
+        self.order: dict[int, int] = {}
+        self.nodes: dict[int, object] = {d.loc: d for d in p.decls}
+        self.defs: dict[str, list[Assign]] = {}
+        self.writes: dict[str, list[Assign]] = {}
+        self.iterators: set[str] = set()
+        self._visit(p.body, (), ())
+
+    def _visit(self, node, loops, guards) -> None:
+        self.loops[id(node)] = loops
+        self.guards[id(node)] = guards
+        self.order[id(node)] = len(self.order)
+        self.nodes[node.loc] = node
+        match node:
+            case For():
+                self.iterators.add(node.iterator)
+                loops += (node,)
+            case Assign(Var(name)):
+                self.defs.setdefault(name, []).append(node)
+            case Assign(ArrayAccess(array)):
+                self.writes.setdefault(array, []).append(node)
+            case If(cond) | IfElse(cond):
+                self._visit(cond, loops, guards)
+                for branch in [*children(node)][1:]:
+                    self._visit(branch, loops, guards + (cond,))
+                return
+        for c in children(node):
+            self._visit(c, loops, guards)

@@ -292,13 +292,6 @@ def assign_locs(p: Program) -> Program:
     return p
 
 
-def find_node(p: Program, loc: int):
-    for node in walk(p):
-        if getattr(node, "loc", None) == loc:
-            return node
-    raise KeyError(f"no node with location id {loc}")
-
-
 def loops_of(p: Program) -> list[For]:
     return [n for n in walk(p) if isinstance(n, For)]
 

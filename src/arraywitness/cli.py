@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 
+from .analysis import ProgramFacts
 from .emit import EmitConfig, EmitError, ND_STYLES, emit_report, emit_verifiable
 from .oracle import OracleConfig, OracleError, differential_check
 from .parser import ParseError, parse
@@ -117,7 +118,8 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         program = parse(source)
-        result = transform_with_info(program)
+        facts = ProgramFacts(program)
+        result = transform_with_info(program, facts)
     except (ParseError, TransformError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -130,7 +132,7 @@ def run(argv: list[str] | None = None) -> int:
             return 2
         _atomic_write(args.output, text)
 
-    verdicts = classify_all(program)
+    verdicts = classify_all(program, facts)
     if args.report:
         _atomic_write(
             args.report, emit_report(result.arrays, result.summaries, verdicts)

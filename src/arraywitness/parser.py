@@ -37,7 +37,7 @@ from .astnodes import (
     TernaryAssign,
     Var,
     assign_locs,
-    walk,
+    children,
 )
 
 
@@ -67,6 +67,10 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+# Every stage after the parser recurses on the syntax tree, and Python's stack
+# holds a few hundred levels of it.
+MAX_DEPTH = 100
 
 KEYWORDS = {"int", "unsigned", "main", "if", "else", "for", "assert", "break", "continue"}
 
@@ -359,7 +363,12 @@ def _check_names(p: Program) -> None:
         if name not in scalars:
             raise ParseError(f"use of undeclared identifier {name!r}", 0, 0)
 
-    for node in walk(p.body):
+    stack = [(p.body, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"program nested more than {MAX_DEPTH} levels deep", 0, 0)
+        stack.extend((c, depth + 1) for c in reversed([*children(node)]))
         match node:
             case Var(name):
                 require_scalar(name, "variable")
@@ -377,6 +386,9 @@ def _check_names(p: Program) -> None:
 
 def parse(source: str) -> Program:
     """Parse source text into a located, name-checked :class:`Program`."""
-    p = _Parser(tokenize(source)).program()
+    try:
+        p = _Parser(tokenize(source)).program()
+    except RecursionError:
+        raise ParseError("program nested too deeply to parse", 0, 0) from None
     _check_names(p)
     return assign_locs(p)

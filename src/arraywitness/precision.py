@@ -14,9 +14,11 @@ iterator before every use.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
-from .analysis import LoopSummary, analyze_program
+from .analysis import ProgramFacts
 from .astnodes import (
     ArrayAccess,
     Assert,
@@ -34,8 +36,6 @@ from .astnodes import (
     Read,
     Var,
     asserts_of,
-    children,
-    find_node,
     walk,
 )
 
@@ -112,45 +112,99 @@ def _const_or_iterator_only(e, iterator: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# context maps: enclosing loops and guarding conditions per node
-
-
-class _Context:
-    def __init__(self, p: Program):
-        self.loops: dict[int, tuple[For, ...]] = {}
-        self.guards: dict[int, tuple] = {}
-        self._visit(p.body, (), ())
-
-    def _visit(self, node, loops, guards) -> None:
-        self.loops[id(node)] = loops
-        self.guards[id(node)] = guards
-        match node:
-            case For():
-                for c in children(node):
-                    self._visit(c, loops + (node,), guards)
-            case If(cond, then):
-                self._visit(cond, loops, guards)
-                self._visit(then, loops, guards + (cond,))
-            case IfElse(cond, then, orelse):
-                self._visit(cond, loops, guards)
-                self._visit(then, loops, guards + (cond,))
-                self._visit(orelse, loops, guards + (cond,))
-            case _:
-                for c in children(node):
-                    self._visit(c, loops, guards)
-
-
-# ---------------------------------------------------------------------------
 # dependence closure
 
 
-def _enclosing_loop(ctx: _Context, node) -> For:
-    loops = ctx.loops[id(node)]
-    if not loops:
+def _absorb(facts: ProgramFacts, scope, guards_of, roots=(), scalars=(), arrays=()):
+    """Close ``roots`` and the seed names under the assignments in ``scope``.
+
+    An expression reached makes the scalars and arrays it reads relevant; an
+    assignment in scope to a relevant name is taken, and its index,
+    right-hand side and ``guards_of`` are reached in turn. Assignments are
+    taken in rounds, each in program order: a scalar counts from the moment
+    it becomes relevant, an array from the next round on. That order fixes
+    the order of the array reads returned, and so of the a2 findings; the
+    heap keyed by (round, position) keeps it and takes each assignment once.
+    Returns the relevant scalars, the array reads reached (one per location)
+    and the assignments taken.
+    """
+    rel_s: set[str] = set()
+    rel_a: set[str] = set()
+    reads: list[ArrayAccess] = []
+    seen: set[int] = set()
+    locs: set[int] = set()
+    heap: list = []
+
+    def relevant(name: str, array: bool, rnd, pos) -> None:
+        names = rel_a if array else rel_s
+        if name in names:
+            return
+        names.add(name)
+        for d in (facts.writes if array else facts.defs).get(name, ()):
+            q = facts.order[id(d)]
+            if scope(d):
+                heapq.heappush(heap, (rnd + (array or q < pos), q, d))
+
+    def absorb(e, rnd, pos) -> None:
+        if id(e) in seen:
+            return
+        seen.add(id(e))
+        for n in walk(e):
+            if isinstance(n, Read) and isinstance(n.lv, Var):
+                relevant(n.lv.name, False, rnd, pos)
+            elif isinstance(n, ArrayAccess) and n.loc not in locs:
+                locs.add(n.loc)
+                reads.append(n)
+                relevant(n.array, True, rnd, pos)
+
+    for x in scalars:
+        relevant(x, False, -1, math.inf)
+    for a in arrays:
+        relevant(a, True, -1, math.inf)
+    for e in roots:
+        absorb(e, -1, math.inf)
+    taken: list[Assign] = []
+    while heap:
+        rnd, pos, d = heapq.heappop(heap)
+        taken.append(d)
+        if isinstance(d.target, ArrayAccess):
+            absorb(d.target.index, rnd, pos)
+        absorb(d.value, rnd, pos)
+        for g in guards_of(d):
+            absorb(g, rnd, pos)
+    return rel_s, reads, taken
+
+
+def _closure(facts: ProgramFacts, assertion_loc: int):
+    """The assertion's loop s_a and its v_imp, e_imp and s_def as
+    :func:`dependence_closure` describes them, s_def in program order."""
+    assertion = facts.nodes[assertion_loc]
+    if not isinstance(assertion, Assert):
+        raise ValueError(f"location {assertion_loc} is not an assertion")
+    if not facts.loops[id(assertion)]:
         raise AssertionOutsideLoop(
-            f"assertion at location {node.loc} is not inside a loop"
+            f"assertion at location {assertion_loc} is not inside a loop"
         )
-    return loops[-1]
+    s_a = facts.loops[id(assertion)][-1]
+    outer = len(facts.guards[id(s_a)])
+
+    def guards_in_loop(node) -> tuple:
+        return facts.guards[id(node)][outer:]
+
+    roots = (assertion.cond, *guards_in_loop(assertion))
+    v_imp, e_imp, _ = _absorb(
+        facts, lambda d: s_a in facts.loops[id(d)], guards_in_loop, roots=roots
+    )
+    _, _, defs = _absorb(
+        facts,
+        lambda d: True,
+        lambda d: facts.guards[id(d)],
+        scalars=v_imp,
+        arrays={acc.array for acc in e_imp},
+    )
+    s_def = {id(loop): loop for d in defs for loop in facts.loops[id(d)]}
+    in_order = sorted(s_def.values(), key=lambda loop: facts.order[id(loop)])
+    return s_a, v_imp, e_imp, in_order
 
 
 def dependence_closure(p: Program, assertion_loc: int) -> DependenceClosure:
@@ -158,128 +212,16 @@ def dependence_closure(p: Program, assertion_loc: int) -> DependenceClosure:
 
     v_imp/e_imp are the data and control dependences within the enclosing
     loop; s_def collects every loop (anywhere) whose body defines a name the
-    assertion transitively depends on. All three sets over-approximate.
+    assertion transitively depends on. All three sets over-approximate. The
+    cost is one :class:`ProgramFacts` pass plus work proportional to the
+    closure: the assignments to the names it reaches and their expressions.
     """
-    ctx = _Context(p)
-    assertion = find_node(p, assertion_loc)
-    if not isinstance(assertion, Assert):
-        raise ValueError(f"location {assertion_loc} is not an assertion")
-    s_a = _enclosing_loop(ctx, assertion)
-
-    v_imp, e_imp = _loop_dependences(ctx, s_a, assertion)
-    s_def = _defining_loops(p, ctx, v_imp, {acc.array for acc in e_imp})
+    _, v_imp, e_imp, s_def = _closure(ProgramFacts(p), assertion_loc)
     return DependenceClosure(
         v_imp=v_imp,
         e_imp={acc.loc for acc in e_imp},
         s_def={loop.loc for loop in s_def},
     )
-
-
-def _loop_dependences(
-    ctx: _Context, s_a: For, assertion: Assert
-) -> tuple[set[str], list[ArrayAccess]]:
-    v_imp: set[str] = set()
-    e_imp: list[ArrayAccess] = []
-    seen_exprs: set[int] = set()
-
-    def absorb(e) -> None:
-        if id(e) in seen_exprs:
-            return
-        seen_exprs.add(id(e))
-        v_imp.update(_scalar_reads(e))
-        for acc in _array_reads(e):
-            if acc.loc not in {a.loc for a in e_imp}:
-                e_imp.append(acc)
-
-    def guards_within_loop(node):
-        return [g for g in ctx.guards[id(node)] if s_a in ctx.loops[id(g)]]
-
-    absorb(assertion.cond)
-    for g in guards_within_loop(assertion):
-        absorb(g)
-
-    changed = True
-    while changed:
-        changed = False
-        before = (len(v_imp), len(e_imp), len(seen_exprs))
-        rel_arrays = {acc.array for acc in e_imp}
-        for node in walk(s_a.body):
-            match node:
-                case Assign(Var(name), rhs) if name in v_imp:
-                    absorb(rhs)
-                    for g in guards_within_loop(node):
-                        absorb(g)
-                case Assign(ArrayAccess(arr, idx), rhs) if arr in rel_arrays:
-                    absorb(idx)
-                    absorb(rhs)
-                    for g in guards_within_loop(node):
-                        absorb(g)
-        if (len(v_imp), len(e_imp), len(seen_exprs)) != before:
-            changed = True
-    return v_imp, e_imp
-
-
-def _defining_loops(
-    p: Program, ctx: _Context, seed_scalars: set[str], seed_arrays: set[str]
-) -> list[For]:
-    rel_s = set(seed_scalars)
-    rel_a = set(seed_arrays)
-    changed = True
-    while changed:
-        changed = False
-        for node in walk(p.body):
-            match node:
-                case Assign(Var(name), rhs) if name in rel_s:
-                    sources = [rhs, *ctx.guards[id(node)]]
-                case Assign(ArrayAccess(arr, idx), rhs) if arr in rel_a:
-                    sources = [idx, rhs, *ctx.guards[id(node)]]
-                case _:
-                    continue
-            for e in sources:
-                s = _scalar_reads(e)
-                a = {acc.array for acc in _array_reads(e)}
-                if not (s <= rel_s and a <= rel_a):
-                    rel_s |= s
-                    rel_a |= a
-                    changed = True
-    loops: list[For] = []
-    for loop in (n for n in walk(p.body) if isinstance(n, For)):
-        for node in walk(loop.body):
-            match node:
-                case Assign(Var(name)) if name in rel_s:
-                    loops.append(loop)
-                    break
-                case Assign(ArrayAccess(arr)) if arr in rel_a:
-                    loops.append(loop)
-                    break
-    return loops
-
-
-def _outside_loop_reads(
-    p: Program, ctx: _Context, seed_scalars: set[str], seed_arrays: set[str]
-) -> list[ArrayAccess]:
-    """Dependent array reads located outside every loop.
-
-    Such reads are transformed into guarded witness reads without a matching
-    iterator pin, so no precision claim is possible for them.
-    """
-    rel_s = set(seed_scalars)
-    reads: list[ArrayAccess] = []
-    changed = True
-    while changed:
-        changed = False
-        for node in walk(p.body):
-            match node:
-                case Assign(Var(name), rhs) if name in rel_s and not ctx.loops[id(node)]:
-                    extra = _scalar_reads(rhs)
-                    if not extra <= rel_s:
-                        rel_s |= extra
-                        changed = True
-                    for acc in _array_reads(rhs):
-                        if acc.loc not in {r.loc for r in reads}:
-                            reads.append(acc)
-                            changed = True
-    return reads
 
 
 # ---------------------------------------------------------------------------
@@ -345,34 +287,29 @@ def _def_before_use_ok(loop: For, x: str) -> bool:
 # classification
 
 
-def classify(p: Program, assertion_loc: int) -> PrecisionVerdict:
+def classify(
+    p: Program, assertion_loc: int, facts: ProgramFacts | None = None
+) -> PrecisionVerdict:
     """Apply the precision rules to one assertion.
 
     The verdict is conservative: a precise result guarantees the transformed
     program preserves the assertion's verdict, an imprecise result only means
-    no guarantee is made.
+    no guarantee is made. ``facts`` must describe ``p``; without it they are
+    computed here. Given the facts, the cost is proportional to the
+    assertion's dependence closure and the loops it involves, not to ``p``.
     """
-    ctx = _Context(p)
-    assertion = find_node(p, assertion_loc)
-    if not isinstance(assertion, Assert):
-        raise ValueError(f"location {assertion_loc} is not an assertion")
-    s_a = _enclosing_loop(ctx, assertion)
-    _, summaries = analyze_program(p)
-
-    v_imp, e_imp = _loop_dependences(ctx, s_a, assertion)
+    facts = facts or ProgramFacts(p)
+    s_a, v_imp, e_imp, s_def = _closure(facts, assertion_loc)
+    summaries = facts.summaries
     rel_arrays = {acc.array for acc in e_imp}
-    s_def = _defining_loops(p, ctx, v_imp, rel_arrays)
     involved = [s_a] + [s for s in s_def if s is not s_a]
     involved.sort(key=lambda s: s.loc)
 
     violations: list[RuleViolation] = []
 
-    def summary(loop: For) -> LoopSummary:
-        return summaries[loop.loc]
-
     # l1: the assertion loop and every defining loop covers its arrays fully.
     for loop in involved:
-        if not summary(loop).full_access:
+        if not summaries[loop.loc].full_access:
             violations.append(
                 RuleViolation("l1", loop.loc, "loop is not a full-access loop")
             )
@@ -389,7 +326,15 @@ def classify(p: Program, assertion_loc: int) -> PrecisionVerdict:
                     f"{s_a.iterator!r}",
                 )
             )
-    for acc in _outside_loop_reads(p, ctx, v_imp, rel_arrays):
+    # Reads reached through scalar assignments outside every loop become
+    # guarded witness reads without an iterator pin.
+    _, outside, _ = _absorb(
+        facts,
+        lambda d: isinstance(d.target, Var) and not facts.loops[id(d)],
+        lambda d: (),
+        scalars=v_imp,
+    )
+    for acc in outside:
         violations.append(
             RuleViolation(
                 "a2", acc.loc, f"dependent read of {acc.array!r} outside any loop"
@@ -399,7 +344,7 @@ def classify(p: Program, assertion_loc: int) -> PrecisionVerdict:
     # a3: those arrays keep their witness variable across the involved loops.
     for arr in sorted(rel_arrays):
         for loop in involved:
-            if arr in summary(loop).defs:
+            if arr in summaries[loop.loc].defs:
                 violations.append(
                     RuleViolation(
                         "a3",
@@ -410,15 +355,11 @@ def classify(p: Program, assertion_loc: int) -> PrecisionVerdict:
 
     # s4: dependent scalars escape the nd brackets, or are re-defined from a
     # constant or the iterator before every use (relaxation).
-    other_iterators = {
-        loop.iterator for loop in walk(p.body)
-        if isinstance(loop, For) and loop is not s_a
-    }
     for x in sorted(v_imp):
         if x == s_a.iterator:
             continue  # pinned by the i = i_a the full-access form inserts
-        clobbered = [loop for loop in involved if x in summary(loop).defs]
-        if not clobbered and x in other_iterators:
+        clobbered = [loop for loop in involved if x in summaries[loop.loc].defs]
+        if not clobbered and x in facts.iterators:
             # Another loop's iterator is nd-assigned when that loop is
             # removed, which loop_defs does not record.
             clobbered = [s_a]
@@ -448,7 +389,7 @@ def classify(p: Program, assertion_loc: int) -> PrecisionVerdict:
                                 )
                             )
                     for x in sorted(_scalar_reads(rhs) - {loop.iterator}):
-                        if x in summary(loop).defs and not _def_before_use_ok(loop, x):
+                        if x in summaries[loop.loc].defs and not _def_before_use_ok(loop, x):
                             violations.append(
                                 RuleViolation(
                                     "d6",
@@ -466,13 +407,19 @@ def classify(p: Program, assertion_loc: int) -> PrecisionVerdict:
     )
 
 
-def classify_all(p: Program) -> list[PrecisionVerdict]:
+def classify_all(p: Program, facts: ProgramFacts | None = None) -> list[PrecisionVerdict]:
     """One verdict per assertion, in program order. Assertions outside loops
-    get an imprecise verdict (no precision claim is made for them)."""
+    get an imprecise verdict (no precision claim is made for them).
+
+    The facts are computed once (or taken from the caller) and shared by
+    every :func:`classify` call, so the cost is one pass over ``p`` plus, per
+    assertion, work proportional to its dependence closure.
+    """
+    facts = facts or ProgramFacts(p)
     verdicts = []
     for a in asserts_of(p):
         try:
-            verdicts.append(classify(p, a.loc))
+            verdicts.append(classify(p, a.loc, facts))
         except AssertionOutsideLoop:
             verdicts.append(
                 PrecisionVerdict(
@@ -489,10 +436,5 @@ def classify_all(p: Program) -> list[PrecisionVerdict]:
 def classify_program(p: Program) -> bool | None:
     """True when every assertion classifies precise, None when there is no
     assertion, False otherwise (including assertions outside loops)."""
-    assertions = asserts_of(p)
-    if not assertions:
-        return None
-    try:
-        return all(classify(p, a.loc).precise for a in assertions)
-    except AssertionOutsideLoop:
-        return False
+    verdicts = classify_all(p)
+    return all(v.precise for v in verdicts) if verdicts else None

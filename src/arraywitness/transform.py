@@ -12,12 +12,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from .analysis import (
-    ArrayInfo,
-    BoundKind,
-    LoopSummary,
-    analyze_program,
-)
+from .analysis import ArrayInfo, BoundKind, LoopSummary, ProgramFacts
 from .astnodes import (
     ARRAY_INT,
     SCALAR_INT,
@@ -290,9 +285,11 @@ def _overwritten_before_read(rest: list[Stmt], x: str) -> bool:
     return False
 
 
-def transform_with_info(p: Program) -> TransformResult:
+def transform_with_info(p: Program, facts: ProgramFacts | None = None) -> TransformResult:
+    """Transform ``p``, reusing ``facts`` about it when the caller has them."""
     _check_source_grammar(p)
-    arrays, summaries = analyze_program(p)
+    facts = facts or ProgramFacts(p)
+    arrays, summaries = facts.arrays, facts.summaries
     source = copy.deepcopy(p)  # transformed nodes get renumbered locations
     ctx = TransformContext(
         arrays={a.name: a for a in arrays},

@@ -6,6 +6,7 @@ from arraywitness.cli import run
 from arraywitness.emit import REPORT_SCHEMA, strip_scaffolding
 
 import jsonschema
+import pytest
 
 from conftest import fixture_path
 
@@ -88,6 +89,19 @@ def test_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.c"
     bad.write_text("int x;\nmain() { x = ; }")
     assert run(["transform", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    ["(" * 5000 + "1" + ")" * 5000, " + ".join(["1"] * 5000)],
+    ids=["nested-parentheses", "long-sum"],
+)
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, rhs):
+    deep = tmp_path / "deep.c"
+    deep.write_text(f"int x;\nmain() {{ x = {rhs}; }}")
+    assert run(["transform", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested" in err and err.count("\n") == 1
 
 
 def test_oracle_requires_array_size(capsys):

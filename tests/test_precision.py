@@ -1,13 +1,22 @@
 import pytest
 
 from arraywitness import (
+    analysis,
+    astnodes,
     classify,
     classify_all,
     classify_program,
     dependence_closure,
+    generate_program,
     parse,
+    precision,
 )
 from arraywitness.astnodes import asserts_of, loops_of
+from arraywitness.precision import AssertionOutsideLoop
+
+from conftest import load_fixture
+
+FIXTURES = ("fig1.c", "fig1_small.c", "fig5.c", "fig5_small.c", "fig7.c", "fig7_small.c")
 
 
 def _only_assert_loc(p):
@@ -121,3 +130,76 @@ def test_verdict_json_shape(fig7):
 def test_classify_rejects_non_assert_location(fig1):
     with pytest.raises(ValueError):
         classify(fig1, fig1.body.stmts[0].loc)
+
+
+def _wide_program(k: int, n: int = 100000):
+    """K independent fig1 kernels, each with its own arrays, scalar and
+    assertion; only the iterator is shared."""
+    decls = ", ".join(f"a_p{j}[{n}], a_q{j}[{n}]" for j in range(k))
+    scalars = ", ".join(f"k{j}" for j in range(k))
+    body = "".join(
+        f"for (i = 0; i < {n}; i++) {{ k{j} = i; a_p{j}[i] = k{j}; "
+        f"a_q{j}[i] = k{j} * k{j}; }}\n"
+        f"for (i = 0; i < {n}; i++) {{ assert(a_q{j}[i] == a_p{j}[i] * a_p{j}[i]); }}\n"
+        for j in range(k)
+    )
+    return parse(f"int {decls};\nint i, {scalars};\nmain() {{\n{body}}}\n")
+
+
+def test_classify_all_work_grows_linearly_with_assertions(monkeypatch):
+    # Counts AST child expansions, a deterministic unit of work: linear
+    # growth gives 4x from K = 8 to K = 32, a per-assertion walk of the whole
+    # program about 16x.
+    visits = [0]
+    original = astnodes.children
+
+    def counted(node):
+        visits[0] += 1
+        return original(node)
+
+    for module in (astnodes, analysis):
+        monkeypatch.setattr(module, "children", counted)
+
+    def work(k: int) -> int:
+        p = _wide_program(k)
+        visits[0] = 0
+        verdicts = classify_all(p)
+        assert len(verdicts) == k and all(v.precise for v in verdicts)
+        return visits[0]
+
+    assert work(32) <= 5 * work(8)
+
+
+def _programs():
+    for name in FIXTURES:
+        yield name, load_fixture(name)
+    for seed in range(200):
+        yield f"seed {seed}", generate_program(seed)
+
+
+def test_batch_and_single_classification_agree(monkeypatch):
+    used = []
+    original = precision._closure
+
+    def recording(facts, loc):
+        used.append(original(facts, loc))
+        return used[-1]
+
+    monkeypatch.setattr(precision, "_closure", recording)
+    for label, p in _programs():
+        verdicts = classify_all(p)
+        expected = all(v.precise for v in verdicts) if verdicts else None
+        assert classify_program(p) == expected, label
+        assert [v.assertion_loc for v in verdicts] == [a.loc for a in asserts_of(p)]
+        for a, batch in zip(asserts_of(p), verdicts):
+            try:
+                single = classify(p, a.loc)
+            except AssertionOutsideLoop:
+                assert [r.rule for r in batch.violated_rules] == ["l1"], label
+                continue
+            assert batch == single, label
+            _, v_imp, e_imp, s_def = used[-1]
+            closure = dependence_closure(p, a.loc)
+            assert closure.v_imp == v_imp, label
+            assert closure.e_imp == {acc.loc for acc in e_imp}, label
+            assert closure.s_def == {loop.loc for loop in s_def}, label
