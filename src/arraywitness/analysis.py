@@ -324,7 +324,7 @@ class ProgramFacts:
                 self.writes.setdefault(array, []).append(node)
             case If(cond) | IfElse(cond):
                 self._visit(cond, loops, guards)
-                for branch in [*children(node)][1:]:
+                for branch in children(node)[1:]:
                     self._visit(branch, loops, guards + (cond,))
                 return
         for c in children(node):

@@ -8,13 +8,18 @@ loops (except single-trip loops kept for break/continue) and no array accesses.
 
 Nodes compare structurally (dataclass equality), including location ids, which
 are assigned in pre-order by ``assign_locs`` so that print/parse round trips
-preserve them.
+preserve them. Nodes are slotted: they carry only their declared fields.
+
+``children`` and ``walk`` expand nodes through one child table
+(``_CHILDREN``); ``walk`` visits a subtree in pre-order from an explicit
+stack. ``clone`` copies a subtree field by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Callable, Iterator, Union
 
 BINARY_OPS = ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||")
 
@@ -23,13 +28,13 @@ BINARY_OPS = ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "
 # lvalues
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Var:
     name: str
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class ArrayAccess:
     array: str
     index: "Expr"
@@ -43,19 +48,19 @@ LValue = Union[Var, ArrayAccess]
 # expressions
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Const:
     value: int
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Read:
     lv: LValue
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class BinOp:
     op: str
     lhs: "Expr"
@@ -63,7 +68,7 @@ class BinOp:
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Ternary:
     cond: "Expr"
     then: "Expr"
@@ -71,14 +76,14 @@ class Ternary:
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Nd:
     """Unranged nondeterministic value (target grammar only)."""
 
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class NdRange:
     """Range-restricted nondeterministic value nd(lo, hi)."""
 
@@ -87,7 +92,7 @@ class NdRange:
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Input:
     """Environment-provided value (``input()`` in source programs).
 
@@ -105,14 +110,14 @@ Expr = Union[Const, Read, BinOp, Ternary, Nd, NdRange, Input]
 # statements
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Assign:
     target: LValue
     value: Expr
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class ChainAssign:
     """``t1 = t2 = ... = e;`` — every target receives the same value.
 
@@ -125,7 +130,7 @@ class ChainAssign:
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class TernaryAssign:
     """``(cond) ? target = value : discard;``
 
@@ -140,20 +145,20 @@ class TernaryAssign:
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Assert:
     cond: Expr
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class If:
     cond: Expr
     then: "Stmt"
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class IfElse:
     cond: Expr
     then: "Stmt"
@@ -161,7 +166,7 @@ class IfElse:
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class For:
     iterator: str
     init: Expr
@@ -174,17 +179,17 @@ class For:
     single_trip: bool = field(default=False, compare=False)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Break:
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Continue:
     loc: int = -1
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Block:
     stmts: list["Stmt"]
     loc: int = -1
@@ -203,7 +208,7 @@ SCALAR_INT = "scalar-int"
 ARRAY_INT = "array-int"
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Decl:
     name: str
     kind: str  # SCALAR_INT or ARRAY_INT
@@ -217,7 +222,7 @@ class Decl:
             raise ValueError(f"scalar {self.name!r} cannot carry a size")
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Program:
     decls: list[Decl]
     body: Block
@@ -227,68 +232,76 @@ class Program:
 # traversal helpers
 
 
-def children(node) -> Iterator:
-    """Yield the direct AST children of a node, in syntactic order."""
-    match node:
-        case Program(decls, body):
-            yield from decls
-            yield body
-        case Block(stmts):
-            yield from stmts
-        case Assign(target, value):
-            yield target
-            yield value
-        case ChainAssign(_, value):
-            yield value
-        case TernaryAssign(cond, target, value, discard):
-            yield cond
-            yield target
-            yield value
-            yield discard
-        case Assert(cond):
-            yield cond
-        case If(cond, then):
-            yield cond
-            yield then
-        case IfElse(cond, then, orelse):
-            yield cond
-            yield then
-            yield orelse
-        case For(_, init, test, step, body):
-            yield init
-            yield test
-            yield step
-            yield body
-        case Read(lv):
-            yield lv
-        case ArrayAccess(_, index):
-            yield index
-        case BinOp(_, lhs, rhs):
-            yield lhs
-            yield rhs
-        case Ternary(cond, then, orelse):
-            yield cond
-            yield then
-            yield orelse
-        case NdRange(lo, hi):
-            yield lo
-            yield hi
-        case _:
-            return
+# The child table: class -> function giving a node's direct children in
+# syntactic order. Classes without an entry are leaves.
+_CHILDREN: dict[type, Callable] = {
+    Program: lambda n: (*n.decls, n.body),
+    Block: attrgetter("stmts"),
+    Assign: attrgetter("target", "value"),
+    ChainAssign: lambda n: (n.value,),
+    TernaryAssign: attrgetter("cond", "target", "value", "discard"),
+    Assert: lambda n: (n.cond,),
+    If: attrgetter("cond", "then"),
+    IfElse: attrgetter("cond", "then", "orelse"),
+    For: attrgetter("init", "test", "step", "body"),
+    Read: lambda n: (n.lv,),
+    ArrayAccess: lambda n: (n.index,),
+    BinOp: attrgetter("lhs", "rhs"),
+    Ternary: attrgetter("cond", "then", "orelse"),
+    NdRange: attrgetter("lo", "hi"),
+}
+
+
+def children(node) -> tuple:
+    """The direct AST children of a node, in syntactic order."""
+    expand = _CHILDREN.get(type(node))
+    return tuple(expand(node)) if expand else ()
 
 
 def walk(node) -> Iterator:
-    """Pre-order traversal over the node and all descendants."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    """Pre-order traversal over the node and all descendants.
+
+    Iterative: the nodes still to visit sit on an explicit stack, so a deep
+    tree costs no Python stack frames.
+    """
+    expand_of = _CHILDREN.get
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        expand = expand_of(type(node))
+        if expand is not None:
+            stack += expand(node)[::-1]
+
+
+# Field names of every node class: the inner nodes of the table, then leaves.
+_FIELDS = {
+    cls: tuple(f.name for f in fields(cls))
+    for cls in (*_CHILDREN, Var, Const, Nd, Input, Break, Continue, Decl)
+}
+
+
+def clone(node):
+    """Structural copy of a subtree: every node and every list is new, while
+    names, numbers and flags are shared (they are immutable)."""
+    cls = type(node)
+    args = []
+    for name in _FIELDS[cls]:
+        v = getattr(node, name)
+        if type(v) in _FIELDS:
+            v = clone(v)
+        elif type(v) is list:
+            v = [clone(x) if type(x) in _FIELDS else x for x in v]
+        args.append(v)
+    return cls(*args)
 
 
 def assign_locs(p: Program) -> Program:
     """Number every node of ``p`` in pre-order, in place. Returns ``p``."""
-    for n, node in enumerate(walk(p)):
-        if hasattr(node, "loc"):
-            node.loc = n
+    nodes = walk(p)
+    next(nodes)  # the Program itself carries no location
+    for n, node in enumerate(nodes, 1):
+        node.loc = n
     return p
 
 
@@ -304,7 +317,3 @@ def arrays_accessed(node) -> set[str]:
     """Names of arrays read or written anywhere under ``node``."""
     return {n.array for n in walk(node) if isinstance(n, ArrayAccess)}
 
-
-def has_choice(node) -> bool:
-    """True when evaluation of ``node`` may require a nondeterministic choice."""
-    return any(isinstance(n, (Nd, NdRange, Input)) for n in walk(node))

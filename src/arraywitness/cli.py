@@ -159,6 +159,9 @@ def run(argv: list[str] | None = None) -> int:
         except OracleError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
+        except RecursionError:  # the oracle recurses once per choice point
+            print("error: oracle: too many choices in one run", file=sys.stderr)
+            return 2
         print(f"original:    {diff.orig_verdict.outcome}")
         print(f"transformed: {diff.trans_verdict.outcome}")
         print(f"sound: {'yes' if diff.sound else 'NO'}")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .analysis import ArrayInfo, BoundKind, LoopSummary
 from .astnodes import (
     ARRAY_INT,
+    ArrayAccess,
     Assert,
     Assign,
     Block,
@@ -32,6 +33,7 @@ from .astnodes import (
     Nd,
     NdRange,
     Program,
+    Read,
     TernaryAssign,
     Var,
     walk,
@@ -116,6 +118,10 @@ class _CEmitter:
         self.temp_names: dict[int, str] = {}  # id(NdRange node) -> temp name
 
     def expr(self, e, parent_prec: int = 0) -> str:
+        return print_expr(e, parent_prec, self.leaf)
+
+    def leaf(self, e) -> str:
+        """C text of the nodes ``print_expr`` hands back to the emitter."""
         match e:
             case Nd():
                 return self.nd_call
@@ -123,11 +129,9 @@ class _CEmitter:
                 return self.temp_names[id(e)]
             case Input():
                 return "input()"
-            case _:
-                pass
-        # Delegate structure to the round-trip printer, but keep lowering
-        # nested occurrences by overriding its dispatch through recursion.
-        return _lowered_print_expr(self, e, parent_prec)
+            case Read(ArrayAccess()):
+                raise EmitError("array access in output program")
+        raise EmitError(f"cannot emit expression {type(e).__name__}")
 
     def hoist(self, exprs, indent: int, out: list[str]) -> None:
         """Emit a temp + assume line for every nd(lo, hi) in ``exprs``."""
@@ -202,29 +206,6 @@ class _CEmitter:
             self.stmt(s, indent, out)
         else:
             self.stmt(s, indent + 1, out)
-
-
-def _lowered_print_expr(emitter: _CEmitter, e, parent_prec: int) -> str:
-    from .astnodes import ArrayAccess, BinOp, Const, Read, Ternary
-    from .printer import _PREC
-
-    match e:
-        case Const(value):
-            return str(value)
-        case Read(Var(name)):
-            return name
-        case Read(ArrayAccess()):
-            raise EmitError("array access in output program")
-        case BinOp(op, lhs, rhs):
-            prec = _PREC[op]
-            text = f"{emitter.expr(lhs, prec)} {op} {emitter.expr(rhs, prec + 1)}"
-            return f"({text})" if prec < parent_prec else text
-        case Ternary(cond, then, orelse):
-            return (
-                f"({emitter.expr(cond, 1)} ? {emitter.expr(then)} : "
-                f"{emitter.expr(orelse)})"
-            )
-    raise EmitError(f"cannot emit expression {type(e).__name__}")
 
 
 def emit_verifiable(p: Program, cfg: EmitConfig | None = None) -> str:

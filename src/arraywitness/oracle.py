@@ -8,7 +8,6 @@ ground truth for the differential soundness and precision checks.
 
 from __future__ import annotations
 
-import copy
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -35,6 +34,7 @@ from .astnodes import (
     Ternary,
     TernaryAssign,
     Var,
+    clone,
     walk,
 )
 
@@ -174,7 +174,7 @@ def scale_arrays(p: Program, new_size: int) -> Program:
     rewritten accordingly, so constant loop bounds and last-index literals
     track the new size. Ambiguous constant mappings are rejected.
     """
-    q = copy.deepcopy(p)
+    q = clone(p)
     mapping: dict[int, int] = {}
     for d in q.decls:
         if d.kind != ARRAY_INT:

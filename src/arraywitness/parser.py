@@ -368,7 +368,7 @@ def _check_names(p: Program) -> None:
         node, depth = stack.pop()
         if depth > MAX_DEPTH:
             raise ParseError(f"program nested more than {MAX_DEPTH} levels deep", 0, 0)
-        stack.extend((c, depth + 1) for c in reversed([*children(node)]))
+        stack += [(c, depth + 1) for c in reversed(children(node))]
         match node:
             case Var(name):
                 require_scalar(name, "variable")

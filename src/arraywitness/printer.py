@@ -7,6 +7,8 @@ randomly generated trees.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .astnodes import (
     ARRAY_INT,
     ArrayAccess,
@@ -40,15 +42,29 @@ _PREC = {
     "+": 5, "-": 5,
     "*": 6, "/": 6, "%": 6,
 }
-_ATOM = 7
 
 
-def print_expr(e, parent_prec: int = 0) -> str:
+def print_expr(e, parent_prec: int = 0, leaf: Callable[[object], str] | None = None) -> str:
+    """Concrete syntax of ``e``. The C emitter passes ``leaf`` to render the
+    nodes it lowers: ``nd()``, ``nd(lo, hi)``, ``input()`` and array reads."""
     match e:
         case Const(value):
             return str(value)
         case Read(Var(name)):
             return name
+        case BinOp(op, lhs, rhs):
+            prec = _PREC[op]
+            # Left-associative: the right operand needs one level more.
+            text = f"{print_expr(lhs, prec, leaf)} {op} {print_expr(rhs, prec + 1, leaf)}"
+            return f"({text})" if prec < parent_prec else text
+        case Ternary(cond, then, orelse):
+            # Always parenthesized, so nesting never needs precedence care.
+            return (
+                f"({print_expr(cond, 1, leaf)} ? {print_expr(then, 0, leaf)} : "
+                f"{print_expr(orelse, 0, leaf)})"
+            )
+        case _ if leaf is not None:
+            return leaf(e)
         case Read(ArrayAccess(array, index)):
             return f"{array}[{print_expr(index)}]"
         case Nd():
@@ -57,14 +73,6 @@ def print_expr(e, parent_prec: int = 0) -> str:
             return f"nd({print_expr(lo)}, {print_expr(hi)})"
         case Input():
             return "input()"
-        case BinOp(op, lhs, rhs):
-            prec = _PREC[op]
-            # Left-associative: the right operand needs one level more.
-            text = f"{print_expr(lhs, prec)} {op} {print_expr(rhs, prec + 1)}"
-            return f"({text})" if prec < parent_prec else text
-        case Ternary(cond, then, orelse):
-            # Always parenthesized, so nesting never needs precedence care.
-            return f"({print_expr(cond, 1)} ? {print_expr(then)} : {print_expr(orelse)})"
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -9,10 +9,9 @@ re-assignments over-approximating the effect of the removed iterations.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
-from .analysis import ArrayInfo, BoundKind, LoopSummary, ProgramFacts
+from .analysis import ArrayInfo, BoundKind, LoopSummary, ProgramFacts, _fresh
 from .astnodes import (
     ARRAY_INT,
     SCALAR_INT,
@@ -38,6 +37,7 @@ from .astnodes import (
     TernaryAssign,
     Var,
     assign_locs,
+    clone,
     walk,
 )
 
@@ -114,12 +114,7 @@ def _iterator_nd_bound(summary: LoopSummary, ctx: TransformContext):
 
 
 def _fresh_scalar(base: str, ctx: TransformContext) -> str:
-    name = base
-    n = 0
-    while name in ctx.taken_names:
-        n += 1
-        name = f"{base}_{n}"
-    ctx.taken_names.add(name)
+    name = _fresh(base, ctx.taken_names)
     ctx.aux_decls.append(Decl(name, SCALAR_INT))
     return name
 
@@ -196,7 +191,7 @@ def transform_stmt(s, ctx: TransformContext) -> list[Stmt]:
                     BinOp("==", transform_expr(index, ctx), _read(info.witness_idx)),
                     Var(info.witness_var),
                     rhs,
-                    copy.deepcopy(rhs),
+                    clone(rhs),
                 )
             ]
         case Assign(Var() as target, value):
@@ -290,7 +285,7 @@ def transform_with_info(p: Program, facts: ProgramFacts | None = None) -> Transf
     _check_source_grammar(p)
     facts = facts or ProgramFacts(p)
     arrays, summaries = facts.arrays, facts.summaries
-    source = copy.deepcopy(p)  # transformed nodes get renumbered locations
+    source = clone(p)  # transformed nodes get renumbered locations
     ctx = TransformContext(
         arrays={a.name: a for a in arrays},
         summaries=summaries,

@@ -104,6 +104,20 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys, rhs):
     assert err.startswith("error: ") and "nested" in err and err.count("\n") == 1
 
 
+def test_oracle_too_many_sequential_choices_is_an_error(tmp_path, capsys):
+    # A flat program, but the oracle recurses once per choice point.
+    src = tmp_path / "many.c"
+    src.write_text(
+        "int x, i;\nint a[2];\nmain() { " + "x = input(); " * 400
+        + "for (i = 0; i < 2; i++) { a[i] = x; assert(a[i] == x); } }\n"
+    )
+    status = run(["transform", str(src), "--oracle", "--array-size", "2",
+                  "--value-domain", "0:0"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_oracle_requires_array_size(capsys):
     assert run(["transform", FIG1, "--oracle"]) == 2
 

@@ -1,7 +1,6 @@
 import pytest
 
 from arraywitness import (
-    analysis,
     astnodes,
     classify,
     classify_all,
@@ -10,6 +9,7 @@ from arraywitness import (
     generate_program,
     parse,
     precision,
+    transform_with_info,
 )
 from arraywitness.astnodes import asserts_of, loops_of
 from arraywitness.precision import AssertionOutsideLoop
@@ -146,25 +146,43 @@ def _wide_program(k: int, n: int = 100000):
     return parse(f"int {decls};\nint i, {scalars};\nmain() {{\n{body}}}\n")
 
 
+def _count_expansions(monkeypatch) -> list[int]:
+    # walk and children expand nodes only through the child table, so
+    # counting there counts every visit to an inner node.
+    visits = [0]
+    for cls, expand in list(astnodes._CHILDREN.items()):
+
+        def counted(node, expand=expand):
+            visits[0] += 1
+            return expand(node)
+
+        monkeypatch.setitem(astnodes._CHILDREN, cls, counted)
+    return visits
+
+
 def test_classify_all_work_grows_linearly_with_assertions(monkeypatch):
     # Counts AST child expansions, a deterministic unit of work: linear
     # growth gives 4x from K = 8 to K = 32, a per-assertion walk of the whole
     # program about 16x.
-    visits = [0]
-    original = astnodes.children
-
-    def counted(node):
-        visits[0] += 1
-        return original(node)
-
-    for module in (astnodes, analysis):
-        monkeypatch.setattr(module, "children", counted)
+    visits = _count_expansions(monkeypatch)
 
     def work(k: int) -> int:
         p = _wide_program(k)
         visits[0] = 0
         verdicts = classify_all(p)
         assert len(verdicts) == k and all(v.precise for v in verdicts)
+        return visits[0]
+
+    assert work(32) <= 5 * work(8)
+
+
+def test_transform_work_grows_linearly_with_assertions(monkeypatch):
+    visits = _count_expansions(monkeypatch)
+
+    def work(k: int) -> int:
+        p = _wide_program(k)
+        visits[0] = 0
+        transform_with_info(p)
         return visits[0]
 
     assert work(32) <= 5 * work(8)
