@@ -15,7 +15,6 @@ from .analysis import (
     analyze_program,
     collect_arrays,
     full_array_access,
-    lastof,
     loop_bound,
     loop_defs,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "enumerate_runs",
     "full_array_access",
     "generate_program",
-    "lastof",
     "loop_bound",
     "loop_defs",
     "parse",

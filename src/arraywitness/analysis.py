@@ -41,6 +41,7 @@ class ArrayInfo:
 
     @property
     def lastof(self) -> int:
+        """Highest valid index of the array."""
         return self.size - 1
 
 
@@ -80,11 +81,6 @@ class LoopSummary:
     step_const: int | None = None  # constant increment, when the step is i + c
     init_const: int | None = None
     has_break_or_continue: bool = False
-
-
-def lastof(a: ArrayInfo) -> int:
-    """Highest valid index of the array."""
-    return a.size - 1
 
 
 def _fresh(base: str, taken: set[str]) -> str:
@@ -148,8 +144,8 @@ def loop_bound(loop: For) -> IndexRange:
     return IndexRange.known(c1, c1 + ((limit - c1) // c3) * c3)
 
 
-def _iter_index(loop: For, e) -> bool:
-    return isinstance(e, Read) and isinstance(e.lv, Var) and e.lv.name == loop.iterator
+def _is_iter_read(e, iterator: str) -> bool:
+    return isinstance(e, Read) and isinstance(e.lv, Var) and e.lv.name == iterator
 
 
 def full_array_access(loop: For, arrays: list[ArrayInfo]) -> bool:
@@ -178,7 +174,7 @@ def full_array_access(loop: For, arrays: list[ArrayInfo]) -> bool:
     for node in walk(loop.body):
         match node:
             case ArrayAccess(index=index):
-                if not _iter_index(loop, index):
+                if not _is_iter_read(index, loop.iterator):
                     return False
             case Break() | Continue():
                 return False
@@ -232,7 +228,7 @@ def loop_defs(loop: For) -> set[str]:
                 else:
                     varying.add(name)
             case Assign(ArrayAccess(array, index), _):
-                if not _iter_index(loop, index):
+                if not _is_iter_read(index, loop.iterator):
                     arrays.add(array)
             case For(iterator=it) if it != loop.iterator:
                 # Nested headers modify their own iterator.

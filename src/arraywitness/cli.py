@@ -22,6 +22,7 @@ from .precision import classify_all
 from .transform import TransformError, transform_with_info
 
 MAX_ORACLE_SIZE = 8
+BMC_TIMEOUT_S = 600  # wall-clock limit for the --bmc checker run
 
 
 def _atomic_write(path: str, content: str) -> None:
@@ -155,7 +156,8 @@ def run(argv: list[str] | None = None) -> int:
             array_size_override=args.array_size,
         )
         try:
-            diff = differential_check(program, result.program, cfg)
+            # The override is set, so the transform is re-derived at that size.
+            diff = differential_check(program, cfg=cfg)
         except OracleError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
@@ -179,7 +181,12 @@ def run(argv: list[str] | None = None) -> int:
             print("warning: BMC_BIN not set or not executable; skipping "
                   "pass-through", file=sys.stderr)
         else:
-            proc = subprocess.run([bmc, args.output])
+            try:
+                proc = subprocess.run([bmc, args.output], timeout=BMC_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                print(f"error: {bmc} did not finish within {BMC_TIMEOUT_S} s",
+                      file=sys.stderr)
+                return 2
             print(f"bmc exit status: {proc.returncode}")
             status = proc.returncode
     return status

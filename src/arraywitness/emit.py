@@ -17,30 +17,10 @@ import re
 from dataclasses import dataclass
 
 from .analysis import ArrayInfo, BoundKind, LoopSummary
-from .astnodes import (
-    ARRAY_INT,
-    ArrayAccess,
-    Assert,
-    Assign,
-    Block,
-    Break,
-    ChainAssign,
-    Continue,
-    For,
-    If,
-    IfElse,
-    Input,
-    Nd,
-    NdRange,
-    Program,
-    Read,
-    TernaryAssign,
-    Var,
-    walk,
-)
+from .astnodes import ARRAY_INT, Input, Nd, NdRange, Program, walk
 from .grammar import validate_output_grammar
 from .precision import PrecisionVerdict
-from .printer import _print_step, print_expr
+from .printer import print_expr, print_stmt
 
 ND_STYLES = ("cbmc", "svcomp", "stub")
 
@@ -55,7 +35,6 @@ class EmitError(Exception):
 @dataclass
 class EmitConfig:
     nd_style: str = "cbmc"
-    header_comment: bool = True
 
     def __post_init__(self) -> None:
         if self.nd_style not in ND_STYLES:
@@ -110,15 +89,12 @@ _INPUT_DECLS = {
 
 
 class _CEmitter:
-    """Mirrors the pretty printer's layout while lowering nd constructs."""
+    """The C lowering that ``printer.print_stmt`` applies to each statement."""
 
     def __init__(self, style: str):
         self.nd_call, self.assume = _STYLE_CALLS[style]
         self.temp_count = 0
         self.temp_names: dict[int, str] = {}  # id(NdRange node) -> temp name
-
-    def expr(self, e, parent_prec: int = 0) -> str:
-        return print_expr(e, parent_prec, self.leaf)
 
     def leaf(self, e) -> str:
         """C text of the nodes ``print_expr`` hands back to the emitter."""
@@ -129,8 +105,6 @@ class _CEmitter:
                 return self.temp_names[id(e)]
             case Input():
                 return "input()"
-            case Read(ArrayAccess()):
-                raise EmitError("array access in output program")
         raise EmitError(f"cannot emit expression {type(e).__name__}")
 
     def hoist(self, exprs, indent: int, out: list[str]) -> None:
@@ -142,70 +116,12 @@ class _CEmitter:
                     name = f"__nd_{self.temp_count}"
                     self.temp_count += 1
                     self.temp_names[id(node)] = name
-                    lo = self.expr(node.lo)
-                    hi = self.expr(node.hi)
+                    lo = print_expr(node.lo, 0, self.leaf)
+                    hi = print_expr(node.hi, 0, self.leaf)
                     out.append(
                         f"{pad}int {name} = {self.nd_call}; "
                         f"{self.assume}({name} >= {lo} && {name} <= {hi});"
                     )
-
-    def stmt(self, s, indent: int, out: list[str]) -> None:
-        pad = "  " * indent
-        match s:
-            case Block(stmts):
-                out.append(pad + "{")
-                for sub in stmts:
-                    self.stmt(sub, indent + 1, out)
-                out.append(pad + "}")
-            case Assign(target, value):
-                self.hoist([value], indent, out)
-                lhs = target.name if isinstance(target, Var) else None
-                if lhs is None:
-                    raise EmitError("array access in output program")
-                out.append(f"{pad}{lhs} = {self.expr(value)};")
-            case ChainAssign(targets, value):
-                self.hoist([value], indent, out)
-                chain = " = ".join(targets)
-                out.append(f"{pad}{chain} = {self.expr(value)};")
-            case TernaryAssign(cond, Var(name), value, discard):
-                self.hoist([cond, value, discard], indent, out)
-                out.append(
-                    f"{pad}if ({self.expr(cond)}) {{ {name} = "
-                    f"{self.expr(value)}; }} else {{ "
-                    f"(void)({self.expr(discard)}); }}"
-                )
-            case Assert(cond):
-                self.hoist([cond], indent, out)
-                out.append(f"{pad}assert({self.expr(cond)});")
-            case If(cond, then):
-                self.hoist([cond], indent, out)
-                out.append(f"{pad}if ({self.expr(cond)})")
-                self.body(then, indent, out)
-            case IfElse(cond, then, orelse):
-                self.hoist([cond], indent, out)
-                out.append(f"{pad}if ({self.expr(cond)})")
-                self.body(then, indent, out)
-                out.append(pad + "else")
-                self.body(orelse, indent, out)
-            case For(iterator, init, test, step, body):
-                self.hoist([init, test, step], indent, out)
-                out.append(
-                    f"{pad}for ({iterator} = {self.expr(init)}; "
-                    f"{self.expr(test)}; {_print_step(iterator, step)})"
-                )
-                self.body(body, indent, out)
-            case Break():
-                out.append(pad + "break;")
-            case Continue():
-                out.append(pad + "continue;")
-            case _:
-                raise EmitError(f"cannot emit {type(s).__name__}")
-
-    def body(self, s, indent: int, out: list[str]) -> None:
-        if isinstance(s, Block):
-            self.stmt(s, indent, out)
-        else:
-            self.stmt(s, indent + 1, out)
 
 
 def emit_verifiable(p: Program, cfg: EmitConfig | None = None) -> str:
@@ -218,9 +134,7 @@ def emit_verifiable(p: Program, cfg: EmitConfig | None = None) -> str:
             f"program is not in the output grammar: {first.message} "
             f"(location {first.loc})"
         )
-    lines: list[str] = []
-    if cfg.header_comment:
-        lines.append("/* loop-free, array-free harness; verify the asserts */")
+    lines = ["/* loop-free, array-free harness; verify the asserts */"]
     lines.extend(_PREAMBLES[cfg.nd_style])
     if any(isinstance(n, Input) for n in walk(p.body)):
         lines.append(_INPUT_DECLS[cfg.nd_style])
@@ -230,8 +144,7 @@ def emit_verifiable(p: Program, cfg: EmitConfig | None = None) -> str:
             raise EmitError("array declaration in output program")
         lines.append(f"int {d.name};")
     lines.append("int main(void)")
-    emitter = _CEmitter(cfg.nd_style)
-    emitter.stmt(p.body, 0, lines)
+    print_stmt(p.body, 0, lines, _CEmitter(cfg.nd_style))
     lines.append(_END)
     return "\n".join(lines) + "\n"
 
@@ -248,7 +161,12 @@ _GUARDED_RE = re.compile(
 
 
 def strip_scaffolding(text: str) -> str:
-    """Undo the C lowering so the program region re-parses with ``parse``."""
+    """Undo the C lowering so the program region re-parses with ``parse``.
+
+    It checks emitted C against an AST: the benchmark's fig1 golden check
+    and the emit and CLI tests parse emitted text back through it, so a
+    change to the lowering that loses or reorders program text fails them.
+    """
     try:
         start = text.index(_BEGIN) + len(_BEGIN)
         end = text.index(_END)

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .analysis import ARRAY_INT, BoundKind, loop_bound
+from .analysis import ARRAY_INT, BoundKind, ProgramFacts, loop_bound
 from .astnodes import (
     ArrayAccess,
     Assert,
@@ -628,20 +628,24 @@ def differential_check(
 
     When ``cfg.array_size_override`` is set, the override is applied to the
     original first and the transformation re-derived from the scaled program,
-    keeping the pair consistent.
+    keeping the pair consistent. Whenever the transformation is derived here,
+    one :class:`ProgramFacts` about the original serves both it and the
+    precision classification.
     """
     from .precision import classify_program
-    from .transform import transform_program
+    from .transform import transform_with_info
 
     cfg = cfg or OracleConfig()
+    facts = None
     if cfg.array_size_override is not None:
         original = scale_arrays(original, cfg.array_size_override)
-        transformed = transform_program(original)
+        transformed = None
         cfg = OracleConfig(cfg.value_domain, cfg.max_steps, None)
-    elif transformed is None:
-        transformed = transform_program(original)
+    if transformed is None:
+        facts = ProgramFacts(original)
+        transformed = transform_with_info(original, facts).program
     return DifferentialResult(
         orig_verdict=enumerate_runs(original, cfg),
         trans_verdict=enumerate_runs(transformed, cfg),
-        precise=classify_program(original),
+        precise=classify_program(original, facts),
     )

@@ -72,6 +72,9 @@ _TOKEN_RE = re.compile(
 # holds a few hundred levels of it.
 MAX_DEPTH = 100
 
+# Literals and array sizes must fit the emitted C's 32-bit ``int``.
+INT_MAX = 2**31 - 1
+
 KEYWORDS = {"int", "unsigned", "main", "if", "else", "for", "assert", "break", "continue"}
 
 
@@ -137,6 +140,15 @@ class _Parser:
             self.error(f"expected identifier, found {tok.text!r}")
         return self.next().text
 
+    def number(self) -> int:
+        """Consume a numeric literal. Its range is checked on the digits, so
+        a literal too long for ``int()`` is a parse error as well."""
+        tok = self.next()
+        digits = tok.text.lstrip("0") or "0"
+        if len(digits) > len(str(INT_MAX)) or int(digits) > INT_MAX:
+            raise ParseError(f"integer literal exceeds {INT_MAX}", tok.line, tok.col)
+        return int(digits)
+
     def error(self, message: str):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
@@ -165,7 +177,7 @@ class _Parser:
                 size_tok = self.peek()
                 if size_tok.kind != "num":
                     self.error("array size must be a positive integer literal")
-                size = int(self.next().text)
+                size = self.number()
                 self.expect("]")
                 if size < 1:
                     raise ParseError("array size must be >= 1", size_tok.line, size_tok.col)
@@ -269,7 +281,7 @@ class _Parser:
             amount = self.peek()
             if amount.kind != "num":
                 self.error("expected integer literal after '+='")
-            step = BinOp("+", Read(Var(iterator)), Const(int(self.next().text)))
+            step = BinOp("+", Read(Var(iterator)), Const(self.number()))
         else:
             self.expect("=")
             step = self.expression()
@@ -319,8 +331,7 @@ class _Parser:
     def primary(self):
         tok = self.peek()
         if tok.kind == "num":
-            self.next()
-            return Const(int(tok.text))
+            return Const(self.number())
         if self.accept("("):
             expr = self.expression()
             self.expect(")")

@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .analysis import ProgramFacts
+from .analysis import ProgramFacts, _is_iter_read
 from .astnodes import (
     ArrayAccess,
     Assert,
@@ -89,10 +89,6 @@ def _scalar_reads(e) -> set[str]:
 
 def _array_reads(e) -> list[ArrayAccess]:
     return [n for n in walk(e) if isinstance(n, ArrayAccess)]
-
-
-def _is_iter_read(e, iterator: str) -> bool:
-    return isinstance(e, Read) and isinstance(e.lv, Var) and e.lv.name == iterator
 
 
 def _const_or_iterator_only(e, iterator: str) -> bool:
@@ -433,8 +429,9 @@ def classify_all(p: Program, facts: ProgramFacts | None = None) -> list[Precisio
     return verdicts
 
 
-def classify_program(p: Program) -> bool | None:
+def classify_program(p: Program, facts: ProgramFacts | None = None) -> bool | None:
     """True when every assertion classifies precise, None when there is no
-    assertion, False otherwise (including assertions outside loops)."""
-    verdicts = classify_all(p)
+    assertion, False otherwise (including assertions outside loops).
+    ``facts``, when given, must describe ``p``."""
+    verdicts = classify_all(p, facts)
     return all(v.precise for v in verdicts) if verdicts else None

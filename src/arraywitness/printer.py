@@ -2,12 +2,13 @@
 
 ``parse(print_program(p))`` is structurally identical to ``p`` (including
 pre-order location ids), which the test suite checks on every fixture and on
-randomly generated trees.
+randomly generated trees. The C emitter renders its harness through the same
+statement walk, passing a lowering (see ``print_stmt``).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, get_args
 
 from .astnodes import (
     ARRAY_INT,
@@ -20,6 +21,7 @@ from .astnodes import (
     ChainAssign,
     Const,
     Continue,
+    Expr,
     For,
     If,
     IfElse,
@@ -31,7 +33,10 @@ from .astnodes import (
     Ternary,
     TernaryAssign,
     Var,
+    children,
 )
+
+_EXPRS = get_args(Expr)  # the expression node types
 
 # Higher binds tighter. Matches the parser's precedence ladder.
 _PREC = {
@@ -85,50 +90,68 @@ def _print_lvalue(lv) -> str:
     raise TypeError(f"not an lvalue: {lv!r}")
 
 
-def _print_step(iterator: str, step) -> str:
+def _print_step(iterator: str, step, leaf) -> str:
     match step:
         case BinOp("+", Read(Var(name)), Const(1)) if name == iterator:
             return f"{iterator}++"
         case BinOp("+", Read(Var(name)), Const(c)) if name == iterator:
             return f"{iterator} += {c}"
         case _:
-            return f"{iterator} = {print_expr(step)}"
+            return f"{iterator} = {print_expr(step, 0, leaf)}"
 
 
-def _print_stmt(s, indent: int, out: list[str]) -> None:
+def print_stmt(s, indent: int, out: list[str], lower=None) -> None:
+    """Append the lines of statement ``s`` to ``out``.
+
+    ``lower`` is the C emitter's lowering; ``print_program`` passes none.
+    With it, the statement's own expressions first go to ``lower.hoist``,
+    which appends a temporary for each ``nd(lo, hi)`` in them; expressions
+    render through ``lower.leaf``; and a guarded assignment prints as a C
+    ``if``/``else``.
+    """
     pad = "  " * indent
+    leaf = None
+    if lower is not None:
+        leaf = lower.leaf
+        lower.hoist([c for c in children(s) if isinstance(c, _EXPRS)], indent, out)
+
+    def ex(e) -> str:
+        return print_expr(e, 0, leaf)
+
     match s:
         case Block(stmts):
             out.append(pad + "{")
             for sub in stmts:
-                _print_stmt(sub, indent + 1, out)
+                print_stmt(sub, indent + 1, out, lower)
             out.append(pad + "}")
         case Assign(target, value):
-            out.append(f"{pad}{_print_lvalue(target)} = {print_expr(value)};")
+            out.append(f"{pad}{_print_lvalue(target)} = {ex(value)};")
         case ChainAssign(targets, value):
             chain = " = ".join(targets)
-            out.append(f"{pad}{chain} = {print_expr(value)};")
+            out.append(f"{pad}{chain} = {ex(value)};")
+        case TernaryAssign(cond, Var(name), value, discard) if lower is None:
+            out.append(f"{pad}({ex(cond)}) ? {name} = {ex(value)} : {ex(discard)};")
         case TernaryAssign(cond, Var(name), value, discard):
             out.append(
-                f"{pad}({print_expr(cond)}) ? {name} = "
-                f"{print_expr(value)} : {print_expr(discard)};"
+                f"{pad}if ({ex(cond)}) {{ {name} = {ex(value)}; }} "
+                f"else {{ (void)({ex(discard)}); }}"
             )
         case Assert(cond):
-            out.append(f"{pad}assert({print_expr(cond)});")
+            out.append(f"{pad}assert({ex(cond)});")
         case If(cond, then):
-            out.append(f"{pad}if ({print_expr(cond)})")
-            _print_body(then, indent, out)
+            out.append(f"{pad}if ({ex(cond)})")
+            _print_body(then, indent, out, lower)
         case IfElse(cond, then, orelse):
-            out.append(f"{pad}if ({print_expr(cond)})")
-            _print_body(then, indent, out)
+            out.append(f"{pad}if ({ex(cond)})")
+            _print_body(then, indent, out, lower)
             out.append(pad + "else")
-            _print_body(orelse, indent, out)
+            _print_body(orelse, indent, out, lower)
         case For(iterator, init, test, step, body):
             out.append(
-                f"{pad}for ({iterator} = {print_expr(init)}; "
-                f"{print_expr(test)}; {_print_step(iterator, step)})"
+                f"{pad}for ({iterator} = {ex(init)}; "
+                f"{ex(test)}; {_print_step(iterator, step, leaf)})"
             )
-            _print_body(body, indent, out)
+            _print_body(body, indent, out, lower)
         case Break():
             out.append(pad + "break;")
         case Continue():
@@ -137,12 +160,12 @@ def _print_stmt(s, indent: int, out: list[str]) -> None:
             raise TypeError(f"not a statement: {s!r}")
 
 
-def _print_body(s, indent: int, out: list[str]) -> None:
+def _print_body(s, indent: int, out: list[str], lower) -> None:
     # Bodies keep their own Block/non-Block shape so round trips are exact.
     if isinstance(s, Block):
-        _print_stmt(s, indent, out)
+        print_stmt(s, indent, out, lower)
     else:
-        _print_stmt(s, indent + 1, out)
+        print_stmt(s, indent + 1, out, lower)
 
 
 def print_program(p: Program) -> str:
@@ -155,5 +178,5 @@ def print_program(p: Program) -> str:
     if p.decls:
         out.append("")
     out.append("main()")
-    _print_stmt(p.body, 0, out)
+    print_stmt(p.body, 0, out)
     return "\n".join(out) + "\n"

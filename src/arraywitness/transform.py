@@ -202,7 +202,7 @@ def transform_stmt(s, ctx: TransformContext) -> list[Stmt]:
             return [
                 IfElse(
                     transform_expr(cond, ctx),
-                    _as_stmt(transform_stmt(then, ctx)),
+                    _as_then(transform_stmt(then, ctx)),
                     _as_stmt(transform_stmt(orelse, ctx)),
                 )
             ]
@@ -220,6 +220,14 @@ def _as_stmt(stmts: list[Stmt]) -> Stmt:
     if len(stmts) == 1:
         return stmts[0]
     return Block(stmts)
+
+
+def _as_then(stmts: list[Stmt]) -> Stmt:
+    # A conditional as the then-branch keeps its braces: printed bare, C would
+    # bind the following else to it rather than to the enclosing if.
+    if len(stmts) == 1 and isinstance(stmts[0], (If, IfElse)):
+        return Block(stmts)
+    return _as_stmt(stmts)
 
 
 def _check_source_grammar(p: Program) -> None:

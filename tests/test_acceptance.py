@@ -20,7 +20,6 @@ from arraywitness import (
     differential_check,
     emit_verifiable,
     generate_program,
-    lastof,
     loop_bound,
     loop_defs,
     parse,
@@ -167,7 +166,7 @@ def test_criterion_6_analysis_unit_facts():
     fig1 = load_fixture("fig1.c")
     fig7 = load_fixture("fig7.c")
     facts = [
-        lastof(ArrayInfo("a", 100000, "x_a", "i_a")) == 99999,
+        ArrayInfo("a", 100000, "x_a", "i_a").lastof == 99999,
         loop_defs(loops_of(fig1)[0]) == {"k"},
         all(
             loop_bound(l).kind == BoundKind.KNOWN

@@ -3,7 +3,6 @@ from arraywitness import (
     analyze_program,
     collect_arrays,
     full_array_access,
-    lastof,
     loop_bound,
     loop_defs,
     parse,
@@ -13,9 +12,9 @@ from arraywitness.astnodes import loops_of
 
 
 def test_lastof_values():
-    assert lastof(ArrayInfo("a", 100000, "x_a", "i_a")) == 99999
-    assert lastof(ArrayInfo("a", 4, "x_a", "i_a")) == 3
-    assert lastof(ArrayInfo("a", 1, "x_a", "i_a")) == 0
+    assert ArrayInfo("a", 100000, "x_a", "i_a").lastof == 99999
+    assert ArrayInfo("a", 4, "x_a", "i_a").lastof == 3
+    assert ArrayInfo("a", 1, "x_a", "i_a").lastof == 0
 
 
 def test_collect_arrays_names(fig1):

@@ -1,7 +1,7 @@
 import json
 import stat
 
-from arraywitness import parse
+from arraywitness import cli, parse
 from arraywitness.cli import run
 from arraywitness.emit import REPORT_SCHEMA, strip_scaffolding
 
@@ -104,6 +104,23 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys, rhs):
     assert err.startswith("error: ") and "nested" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "int x;\nmain() { x = " + "1" * 5000 + "; }",
+        "int x;\nmain() { x = 2147483648; }",
+        "int a[2147483648];\nmain() { }",
+    ],
+    ids=["5000-digits", "int-max-plus-one", "array-size"],
+)
+def test_out_of_range_literal_is_a_parse_error(tmp_path, capsys, source):
+    big = tmp_path / "big.c"
+    big.write_text(source)
+    assert run(["transform", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds" in err and err.count("\n") == 1
+
+
 def test_oracle_too_many_sequential_choices_is_an_error(tmp_path, capsys):
     # A flat program, but the oracle recurses once per choice point.
     src = tmp_path / "many.c"
@@ -145,3 +162,15 @@ def test_bmc_pass_through(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out.c"
     assert run(["transform", FIG1, "-o", str(out), "--bmc"]) == 0
     assert "bmc exit status: 0" in capsys.readouterr().out
+
+
+def test_bmc_timeout_is_an_error(tmp_path, capsys, monkeypatch):
+    fake = tmp_path / "slowbmc"
+    fake.write_text("#!/bin/sh\nexec sleep 30\n")
+    fake.chmod(fake.stat().st_mode | stat.S_IXUSR)
+    monkeypatch.setenv("BMC_BIN", str(fake))
+    monkeypatch.setattr(cli, "BMC_TIMEOUT_S", 0.2)
+    out = tmp_path / "out.c"
+    assert run(["transform", FIG1, "-o", str(out), "--bmc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "did not finish" in err and err.count("\n") == 1

@@ -10,6 +10,7 @@ from arraywitness import (
     classify_all,
     emit_report,
     emit_verifiable,
+    generate_program,
     parse,
     strip_scaffolding,
     transform_with_info,
@@ -20,11 +21,19 @@ from conftest import load_fixture
 
 
 @pytest.mark.parametrize("style", ND_STYLES)
-@pytest.mark.parametrize("name", ["fig1.c", "fig5.c", "fig7.c"])
+@pytest.mark.parametrize("name", ["fig1.c", "fig5.c", "fig7.c", "generated"])
 def test_strip_round_trip(style, name):
-    result = transform_with_info(load_fixture(name))
-    text = emit_verifiable(result.program, EmitConfig(style))
-    assert parse(strip_scaffolding(text)) == result.program
+    # Generated programs 0-199 bring chained and guarded assignments,
+    # single-trip loops, nd(lo, hi) hoisted inside nested blocks, and
+    # conditionals nested in the then-branch of an if/else.
+    if name == "generated":
+        programs = [generate_program(seed) for seed in range(200)]
+    else:
+        programs = [load_fixture(name)]
+    for program in programs:
+        result = transform_with_info(program)
+        text = emit_verifiable(result.program, EmitConfig(style))
+        assert parse(strip_scaffolding(text)) == result.program
 
 
 def test_markers_and_style_calls(fig1):

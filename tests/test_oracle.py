@@ -211,3 +211,20 @@ def test_differential_with_size_override(fig1):
     diff = differential_check(fig1, cfg=cfg)
     assert diff.orig_verdict.safe and diff.trans_verdict.safe
     assert diff.sound and diff.precise_consistent is True
+
+
+def test_size_override_analyzes_the_scaled_program_once(fig1, monkeypatch):
+    from arraywitness import analysis
+
+    calls = []
+    original = analysis.analyze_program
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(analysis, "analyze_program", counting)
+    cfg = OracleConfig(value_domain=(0, 1), array_size_override=2)
+    diff = differential_check(fig1, cfg=cfg)
+    assert diff.sound and diff.precise is True
+    assert len(calls) == 1

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraywitness import ParseError, parse, print_program
 from arraywitness.astnodes import (
@@ -105,3 +107,40 @@ def test_asserts_parse(fig7):
 def test_nested_assignment_value(fig5):
     first = fig5.body.stmts[0]
     assert isinstance(first, (Assign, For))
+
+
+# Raw text for the parser: arbitrary strings, soups of the language's own
+# tokens, a small program with soup in its holes, and fixtures with a slice
+# replaced by soup or arbitrary text.
+_WORDS = (
+    "int unsigned main for if else assert break continue nd input x a i "
+    "( ) { } [ ] ; , = += ++ ? : + - * / % < <= > >= == != && || "
+    "0 1 7 2147483647 2147483648"
+).split() + ["9" * 5000]
+_SOUP = st.lists(st.sampled_from(_WORDS), max_size=40).map(" ".join)
+_FIXTURE_TEXTS = sorted(path.read_text() for path in FIXTURES.glob("*.c"))
+_TEMPLATE = (
+    "int x, i;\nint a[{}];\nmain() {{ x = {}; "
+    "for (i = 0; i < {}; i += {}) {{ a[i] = {}; }} assert({}); }}"
+)
+_HOLES = st.lists(
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+    min_size=6, max_size=6,
+).map(lambda holes: _TEMPLATE.format(*holes))
+
+
+@st.composite
+def _spliced_fixture(draw):
+    text = draw(st.sampled_from(_FIXTURE_TEXTS))
+    lo = draw(st.integers(0, len(text)))
+    hi = draw(st.integers(lo, min(len(text), lo + 40)))
+    return text[:lo] + draw(_SOUP | st.text(max_size=10)) + text[hi:]
+
+
+@given(st.text(max_size=200) | _SOUP | _HOLES | _spliced_fixture())
+@settings(max_examples=400, deadline=None)
+def test_parse_returns_or_raises_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass

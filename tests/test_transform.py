@@ -163,3 +163,12 @@ def test_source_grammar_rejects_target_constructs():
 def test_transformed_output_reparses(fig5):
     t = transform_program(fig5)
     assert parse(print_program(t)) == t
+
+
+def test_conditional_then_branch_keeps_its_braces():
+    # Printed bare, the inner if would capture the else in C.
+    p = parse(
+        "int x, c, d;\nmain() { if (c > 0) { if (d > 0) { x = 1; } } else { x = 2; } }"
+    )
+    t = transform_program(p)
+    assert parse(print_program(t)) == t
