@@ -19,7 +19,7 @@ from .analysis import (
     loop_defs,
 )
 from .emit import EmitConfig, emit_report, emit_verifiable, strip_scaffolding
-from .gen import GenConfig, generate_program
+from .gen import generate_program
 from .grammar import ConformanceReport, validate_output_grammar
 from .oracle import (
     OracleConfig,
@@ -46,7 +46,6 @@ __all__ = [
     "BoundKind",
     "ConformanceReport",
     "EmitConfig",
-    "GenConfig",
     "IndexRange",
     "LoopSummary",
     "OracleConfig",

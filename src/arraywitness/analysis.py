@@ -4,7 +4,9 @@ per-node context and def index (``ProgramFacts``).
 
 Safe directions differ per analysis and are relied on by the transformation:
 ``full_array_access`` may only err towards ``False`` (under-approximation),
-``loop_defs`` may only err towards a larger set (over-approximation).
+``loop_defs`` may only err towards a larger set (over-approximation). A
+full-access loop is one whose iterator takes every index 0..K-1 of the arrays
+it accesses; an access under a guard may still skip some of them.
 """
 
 from __future__ import annotations
@@ -149,8 +151,14 @@ def _is_iter_read(e, iterator: str) -> bool:
 
 
 def full_array_access(loop: For, arrays: list[ArrayInfo]) -> bool:
-    """Conservative check that the loop touches every index of every array it
-    accesses.
+    """Conservative check that the loop's iterator takes every index 0..K-1 of
+    every array the loop accesses.
+
+    That is all the full-access branch of ``transform_loop`` and rule l1 need:
+    the rewrite runs the body once with the iterator pinned to the witness
+    index, which is one of the original's iterations. Whether an access runs
+    at that index is left to the guards in the body, which the rewrite keeps;
+    ``if (i == 0) { x = a[i]; }`` reads only ``a[0]`` and still counts.
 
     Requires: unit-step ``for(i=0; i<K; i++)`` (or ``i<=K-1``) with constant
     K; every accessed array sized exactly K; every access indexed by the bare

@@ -21,7 +21,17 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, Iterator, Union
 
-BINARY_OPS = ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||")
+# The binary operators and their binding strengths, as in C: higher binds
+# tighter, and every level associates to the left. The parser and the printer
+# both read this table.
+PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .analysis import ArrayInfo, BoundKind, LoopSummary
 from .astnodes import ARRAY_INT, Input, Nd, NdRange, Program, walk
 from .grammar import validate_output_grammar
-from .precision import PrecisionVerdict
+from .precision import RULE_IDS, PrecisionVerdict
 from .printer import print_expr, print_stmt
 
 ND_STYLES = ("cbmc", "svcomp", "stub")
@@ -257,9 +257,7 @@ REPORT_SCHEMA = {
                             "required": ["rule", "location", "note"],
                             "additionalProperties": False,
                             "properties": {
-                                "rule": {
-                                    "enum": ["l1", "a2", "a3", "s4", "d5", "d6"]
-                                },
+                                "rule": {"enum": list(RULE_IDS)},
                                 "location": {"type": "integer"},
                                 "note": {"type": "string"},
                             },

@@ -11,7 +11,6 @@ exactness direction as well as plain soundness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .astnodes import (
     ARRAY_INT,
@@ -34,38 +33,34 @@ from .astnodes import (
     Stmt,
     Var,
     assign_locs,
+    clone,
+    walk,
 )
-from .parser import parse
-from .printer import print_program
 
-
-@dataclass
-class GenConfig:
-    max_arrays: int = 2
-    max_size: int = 4
-    max_loops: int = 3
-    max_depth: int = 2
-    const_hi: int = 3
-    max_inputs: int = 2
+MAX_ARRAYS = 2
+MAX_SIZE = 4
+MAX_LOOPS = 3
+MAX_NESTING = 2  # loops nest at most this deep
+CONST_HI = 3
+MAX_INPUTS = 2
 
 
 _REL_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, cfg: GenConfig):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.cfg = cfg
         self.arrays: list[tuple[str, int]] = []
         self.scalars: list[str] = []
         self.loop_stack: list[tuple[str, int, int]] = []  # iterator, lo, hi
-        self.loops_left = cfg.max_loops
-        self.inputs_left = cfg.max_inputs
+        self.loops_left = MAX_LOOPS
+        self.inputs_left = MAX_INPUTS
 
     # -- expressions -------------------------------------------------------
 
     def const(self) -> Const:
-        return Const(self.rng.randint(0, self.cfg.const_hi))
+        return Const(self.rng.randint(0, CONST_HI))
 
     def _index_for(self, size: int):
         """An index expression provably within [0, size-1]."""
@@ -93,7 +88,7 @@ class _Gen:
         if self.scalars and self.rng.random() < 0.15:
             divisor = Read(Var(self.rng.choice(self.scalars)))
         else:
-            divisor = Const(self.rng.randint(1, self.cfg.const_hi))
+            divisor = Const(self.rng.randint(1, CONST_HI))
         return BinOp(op, self.expr(depth + 1), divisor)
 
     def leaf(self):
@@ -140,7 +135,7 @@ class _Gen:
                 escape: Stmt = Break() if self.rng.random() < 0.5 else Continue()
                 return If(self.cond(), Block([escape]))
             return If(self.cond(), then)
-        if roll < 0.85 and self.loops_left > 0 and depth < self.cfg.max_depth:
+        if roll < 0.85 and self.loops_left > 0 and depth < MAX_NESTING:
             return self.loop(depth)
         return Assert(self.cond())
 
@@ -171,11 +166,11 @@ class _Gen:
     # -- whole programs ----------------------------------------------------
 
     def random_program(self) -> Program:
-        n_arrays = self.rng.randint(0, self.cfg.max_arrays)
+        n_arrays = self.rng.randint(0, MAX_ARRAYS)
         same_size = self.rng.random() < 0.6
-        size = self.rng.randint(2, self.cfg.max_size)
+        size = self.rng.randint(2, MAX_SIZE)
         for idx in range(n_arrays):
-            s = size if same_size else self.rng.randint(2, self.cfg.max_size)
+            s = size if same_size else self.rng.randint(2, MAX_SIZE)
             self.arrays.append((chr(ord("a") + idx), s))
         self.scalars = ["k", "s"][: self.rng.randint(1, 2)]
         stmts = [self.stmt(0) for _ in range(self.rng.randint(1, 4))]
@@ -185,7 +180,7 @@ class _Gen:
 
     def template_program(self) -> Program:
         """Write-then-assert shape over one or two same-size arrays."""
-        size = self.rng.randint(2, self.cfg.max_size)
+        size = self.rng.randint(2, MAX_SIZE)
         self.arrays = [("a", size)]
         two = self.rng.random() < 0.5
         if two:
@@ -235,10 +230,9 @@ class _Gen:
     def _finish(self, stmts: list[Stmt]) -> Program:
         decls = [Decl(name, ARRAY_INT, s) for name, s in self.arrays]
         decls += [Decl(name, SCALAR_INT) for name in self.scalars]
-        program = assign_locs(Program(decls, Block(stmts)))
-        # Round-trip through the printer: templates reuse expression nodes,
-        # and reparsing yields the canonical tree with unique locations.
-        return parse(print_program(program))
+        # Templates reuse expression nodes; the clone gives every use its own
+        # node, so each carries its own pre-order location.
+        return assign_locs(clone(Program(decls, Block(stmts))))
 
 
 def _counted_loop(iterator: str, limit: int, body: Block) -> For:
@@ -252,16 +246,14 @@ def _counted_loop(iterator: str, limit: int, body: Block) -> For:
 
 
 def _contains_assert(s) -> bool:
-    from .astnodes import walk
-
     return any(isinstance(n, Assert) for n in walk(s))
 
 
-def generate_program(seed: int, cfg: GenConfig | None = None) -> Program:
+def generate_program(seed: int) -> Program:
     """Deterministic program for ``seed``; roughly 40% follow the
     write-then-assert template, the rest are free-form."""
     rng = random.Random(seed)
-    g = _Gen(rng, cfg or GenConfig())
+    g = _Gen(rng)
     if rng.random() < 0.4:
         return g.template_program()
     return g.random_program()

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .astnodes import (
     ARRAY_INT,
+    PRECEDENCE,
     SCALAR_INT,
     ArrayAccess,
     Assert,
@@ -289,13 +290,13 @@ class _Parser:
         body = self.statement()
         return For(iterator, init, test, step, body)
 
-    # -- expressions, by descending precedence -----------------------------
+    # -- expressions -------------------------------------------------------
 
     def expression(self):
         return self.ternary()
 
     def ternary(self):
-        cond = self.logical_or()
+        cond = self.binary()
         if self.accept("?"):
             then = self.expression()
             self.expect(":")
@@ -303,30 +304,17 @@ class _Parser:
             return Ternary(cond, then, orelse)
         return cond
 
-    def _binary_level(self, ops: tuple[str, ...], sub):
-        expr = sub()
-        while self.peek().kind == "punct" and self.peek().text in ops:
-            op = self.next().text
-            expr = BinOp(op, expr, sub())
-        return expr
-
-    def logical_or(self):
-        return self._binary_level(("||",), self.logical_and)
-
-    def logical_and(self):
-        return self._binary_level(("&&",), self.equality)
-
-    def equality(self):
-        return self._binary_level(("==", "!="), self.relational)
-
-    def relational(self):
-        return self._binary_level(("<", "<=", ">", ">="), self.additive)
-
-    def additive(self):
-        return self._binary_level(("+", "-"), self.multiplicative)
-
-    def multiplicative(self):
-        return self._binary_level(("*", "/", "%"), self.primary)
+    def binary(self, min_prec: int = 1):
+        """Precedence climbing over ``PRECEDENCE``: a chain of operators that
+        bind at least as tightly as ``min_prec``, grouped to the left."""
+        expr = self.primary()
+        while True:
+            tok = self.peek()
+            prec = PRECEDENCE.get(tok.text, 0) if tok.kind == "punct" else 0
+            if prec < min_prec:
+                return expr
+            self.next()
+            expr = BinOp(tok.text, expr, self.binary(prec + 1))
 
     def primary(self):
         tok = self.peek()

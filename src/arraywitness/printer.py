@@ -2,7 +2,8 @@
 
 ``parse(print_program(p))`` is structurally identical to ``p`` (including
 pre-order location ids), which the test suite checks on every fixture and on
-randomly generated trees. The C emitter renders its harness through the same
+randomly generated trees. Operators are parenthesized by ``PRECEDENCE``, the
+table the parser reads. The C emitter renders its harness through the same
 statement walk, passing a lowering (see ``print_stmt``).
 """
 
@@ -12,6 +13,7 @@ from typing import Callable, get_args
 
 from .astnodes import (
     ARRAY_INT,
+    PRECEDENCE,
     ArrayAccess,
     Assert,
     Assign,
@@ -38,16 +40,6 @@ from .astnodes import (
 
 _EXPRS = get_args(Expr)  # the expression node types
 
-# Higher binds tighter. Matches the parser's precedence ladder.
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
-
 
 def print_expr(e, parent_prec: int = 0, leaf: Callable[[object], str] | None = None) -> str:
     """Concrete syntax of ``e``. The C emitter passes ``leaf`` to render the
@@ -58,7 +50,7 @@ def print_expr(e, parent_prec: int = 0, leaf: Callable[[object], str] | None = N
         case Read(Var(name)):
             return name
         case BinOp(op, lhs, rhs):
-            prec = _PREC[op]
+            prec = PRECEDENCE[op]
             # Left-associative: the right operand needs one level more.
             text = f"{print_expr(lhs, prec, leaf)} {op} {print_expr(rhs, prec + 1, leaf)}"
             return f"({text})" if prec < parent_prec else text

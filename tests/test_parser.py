@@ -1,19 +1,29 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arraywitness import ParseError, parse, print_program
 from arraywitness.astnodes import (
+    PRECEDENCE,
+    SCALAR_INT,
     Assert,
     Assign,
+    BinOp,
+    Block,
     ChainAssign,
     Decl,
     For,
     Input,
     Nd,
     NdRange,
+    Program,
+    Read,
     TernaryAssign,
     Var,
+    assign_locs,
+    clone,
     loops_of,
     walk,
 )
@@ -107,6 +117,42 @@ def test_asserts_parse(fig7):
 def test_nested_assignment_value(fig5):
     first = fig5.body.stmts[0]
     assert isinstance(first, (Assign, For))
+
+
+def _v(name: str) -> Read:
+    return Read(Var(name))
+
+
+def _assigning(e) -> Program:
+    """``x = e;`` over scalars a..h and x, located as the parser locates it."""
+    decls = [Decl(name, SCALAR_INT) for name in "abcdefghx"]
+    return assign_locs(clone(Program(decls, Block([Assign(Var("x"), e)]))))
+
+
+# Generated programs use no && or ||, so these pairs are covered only here.
+@pytest.mark.parametrize("shape", ["left", "right"])
+@pytest.mark.parametrize("op1,op2", list(itertools.product(PRECEDENCE, repeat=2)))
+def test_operator_pair_round_trip(op1, op2, shape):
+    """``(a op1 b) op2 c`` and ``a op1 (b op2 c)`` survive printing and
+    parsing for every ordered pair of operators."""
+    if shape == "left":
+        e = BinOp(op2, BinOp(op1, _v("a"), _v("b")), _v("c"))
+    else:
+        e = BinOp(op1, _v("a"), BinOp(op2, _v("b"), _v("c")))
+    p = _assigning(e)
+    assert parse(print_program(p)) == p
+
+
+def test_binary_operators_nest_as_in_c():
+    def text(e: str) -> str:
+        return f"int a, b, c, d, e, f, g, h, x;\nmain() {{ x = {e}; }}\n"
+
+    a, b, c, d, e, f, g, h = map(_v, "abcdefgh")
+    mixed = BinOp("||", a, BinOp("&&", b, BinOp("==", c, BinOp(
+        "<", d, BinOp("+", e, BinOp("%", BinOp("*", f, g), h))))))
+    assert parse(text("a || b && c == d < e + f * g % h")) == _assigning(mixed)
+    left = BinOp("-", BinOp("-", _v("a"), _v("b")), _v("c"))
+    assert parse(text("a - b - c")) == _assigning(left)
 
 
 # Raw text for the parser: arbitrary strings, soups of the language's own

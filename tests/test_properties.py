@@ -1,6 +1,6 @@
 """Property-based checks over randomly generated source programs."""
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arraywitness import (
@@ -13,13 +13,26 @@ from arraywitness import (
     transform_with_info,
     validate_output_grammar,
 )
-from arraywitness.analysis import collect_arrays, full_array_access, loop_defs
+from arraywitness.analysis import (
+    collect_arrays,
+    full_array_access,
+    loop_bound,
+    loop_defs,
+)
 from arraywitness.astnodes import (
+    ARRAY_INT,
+    ArrayAccess,
     Assign,
     Block,
     Const,
+    Decl,
+    For,
+    If,
+    IfElse,
     Program,
+    Read,
     Var,
+    arrays_accessed,
     loops_of,
     walk,
 )
@@ -73,19 +86,38 @@ def test_loop_defs_over_approximates_assignments(seed):
                     assert name in defs or name in iterators
 
 
+def _unguarded_arrays(s) -> set[str]:
+    """Arrays that statement ``s`` accesses outside the branches of any
+    ``if``."""
+    match s:
+        case Block(stmts):
+            return set().union(*map(_unguarded_arrays, stmts))
+        case If(cond) | IfElse(cond):
+            return arrays_accessed(cond)
+    return arrays_accessed(s)
+
+
 @given(seeds)
+@example(12210)  # reads a[i0] only under a guard that holds at i0 == 0
 @settings(max_examples=150, deadline=None)
 def test_full_access_is_a_dynamic_under_approximation(seed):
-    """If the analysis claims a loop touches every index of its arrays, the
-    loop run in isolation must actually do so. Programs without a
-    full-access loop pass vacuously."""
+    """If the analysis claims a full-access loop, the loop run in isolation
+    must take every index 0..K-1: a ``probe[i] = 0;`` write prepended to its
+    body touches every probe cell. An array that the body accesses outside
+    any ``if`` must be covered as well. Programs without a full-access loop
+    pass vacuously."""
     p = generate_program(seed)
     arrays = collect_arrays(p)
     sizes = {a.name: a.size for a in arrays}
     full = [l for l in loops_of(p) if full_array_access(l, arrays)]
     cfg = OracleConfig(value_domain=(0, 1), max_steps=200_000)
     for loop in full:
-        standalone = parse(print_program(Program(p.decls, Block([loop]))))
+        sizes["probe"] = loop_bound(loop).hi + 1
+        probe = Assign(ArrayAccess("probe", Read(Var(loop.iterator))), Const(0))
+        probed = For(loop.iterator, loop.init, loop.test, loop.step,
+                     Block([probe, loop.body]))
+        decls = [*p.decls, Decl("probe", ARRAY_INT, sizes["probe"])]
+        standalone = parse(print_program(Program(decls, Block([probed]))))
         seen: set[tuple[str, int]] = set()
         try:
             verdict = enumerate_runs(
@@ -95,8 +127,7 @@ def test_full_access_is_a_dynamic_under_approximation(seed):
             continue
         if not verdict.safe:
             continue  # a failing assert cuts the run short
-        touched = {name for name, _ in seen}
-        for name in touched:
+        for name in {"probe"} | _unguarded_arrays(loop.body):
             covered = {i for a, i in seen if a == name}
             assert covered == set(range(sizes[name])), (name, covered)
 
