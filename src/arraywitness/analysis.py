@@ -24,7 +24,6 @@ from .astnodes import (
     Continue,
     For,
     If,
-    IfElse,
     Program,
     Read,
     Var,
@@ -326,7 +325,7 @@ class ProgramFacts:
                 self.defs.setdefault(name, []).append(node)
             case Assign(ArrayAccess(array)):
                 self.writes.setdefault(array, []).append(node)
-            case If(cond) | IfElse(cond):
+            case If(cond):
                 self._visit(cond, loops, guards)
                 for branch in children(node)[1:]:
                     self._visit(branch, loops, guards + (cond,))

@@ -163,16 +163,11 @@ class Assert:
 
 @dataclass(eq=True, slots=True)
 class If:
+    """``if (cond) then`` or, when ``orelse`` is set, ``... else orelse``."""
+
     cond: Expr
     then: "Stmt"
-    loc: int = -1
-
-
-@dataclass(eq=True, slots=True)
-class IfElse:
-    cond: Expr
-    then: "Stmt"
-    orelse: "Stmt"
+    orelse: "Stmt | None" = None
     loc: int = -1
 
 
@@ -205,9 +200,7 @@ class Block:
     loc: int = -1
 
 
-Stmt = Union[
-    Assign, ChainAssign, TernaryAssign, Assert, If, IfElse, For, Break, Continue, Block
-]
+Stmt = Union[Assign, ChainAssign, TernaryAssign, Assert, If, For, Break, Continue, Block]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +236,8 @@ class Program:
 
 
 # The child table: class -> function giving a node's direct children in
-# syntactic order. Classes without an entry are leaves.
+# syntactic order. Classes without an entry are leaves. An absent ``else``
+# is no child, so no traversal meets None.
 _CHILDREN: dict[type, Callable] = {
     Program: lambda n: (*n.decls, n.body),
     Block: attrgetter("stmts"),
@@ -251,8 +245,7 @@ _CHILDREN: dict[type, Callable] = {
     ChainAssign: lambda n: (n.value,),
     TernaryAssign: attrgetter("cond", "target", "value", "discard"),
     Assert: lambda n: (n.cond,),
-    If: attrgetter("cond", "then"),
-    IfElse: attrgetter("cond", "then", "orelse"),
+    If: lambda n: (n.cond, n.then) if n.orelse is None else (n.cond, n.then, n.orelse),
     For: attrgetter("init", "test", "step", "body"),
     Read: lambda n: (n.lv,),
     ArrayAccess: lambda n: (n.index,),

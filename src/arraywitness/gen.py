@@ -26,7 +26,6 @@ from .astnodes import (
     Decl,
     For,
     If,
-    IfElse,
     Input,
     Program,
     Read,
@@ -130,7 +129,7 @@ class _Gen:
         if roll < 0.72:
             then = Block([self.stmt(depth) for _ in range(self.rng.randint(1, 2))])
             if self.rng.random() < 0.3:
-                return IfElse(self.cond(), then, Block([self.stmt(depth)]))
+                return If(self.cond(), then, Block([self.stmt(depth)]))
             if in_loop and self.rng.random() < 0.25:
                 escape: Stmt = Break() if self.rng.random() < 0.5 else Continue()
                 return If(self.cond(), Block([escape]))

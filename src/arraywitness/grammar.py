@@ -14,7 +14,6 @@ from typing import Iterable
 from .astnodes import (
     ArrayAccess,
     Assign,
-    Block,
     ChainAssign,
     For,
     NdRange,
@@ -69,9 +68,6 @@ def validate_output_grammar(
             case ArrayAccess(array=name, loc=loc):
                 accesses += 1
                 violations.append(Violation(loc, f"array access to {name!r} in output program"))
-            case Block():
-                # Blocks may only appear as statement bodies; nothing to check.
-                pass
     if witness_indices is not None:
         initialized = _init_prefix_targets(p)
         for name in witness_indices:

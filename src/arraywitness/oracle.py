@@ -25,7 +25,6 @@ from .astnodes import (
     Continue,
     For,
     If,
-    IfElse,
     Input,
     Nd,
     NdRange,
@@ -329,7 +328,13 @@ class _Machine:
         """Enumerate the possible values of ``e``, threading choice lists."""
         det = self._det[id(e)]
         if det is not None:
-            yield det(state), choices
+            try:
+                v = det(state)
+            except _DivByZero as d:
+                # Carry the choices made before this operand, so replaying
+                # the trace reproduces the division failure.
+                raise _Failure(d.loc, choices, _flatten(state)) from None
+            yield v, choices
             return
         match e:
             case Nd() | Input():
@@ -514,26 +519,16 @@ class _Machine:
                         raise _Failure(s.loc, ch, _flatten(state))
                     self.run(list(work), _copy_state(state), ch)
                 return True
-            case If(cond, then):
+            case If(cond, then, orelse):
                 test = self._det[id(cond)]
                 if test is not None:
-                    if test(state) != 0:
-                        work.append(then)
+                    taken = then if test(state) != 0 else orelse
+                    if taken is not None:
+                        work.append(taken)
                     return False
                 for v, ch in self.eval(cond, state, choices):
-                    w = list(work)
-                    if v != 0:
-                        w.append(then)
-                    self.run(w, _copy_state(state), ch)
-                return True
-            case IfElse(cond, then, orelse):
-                test = self._det[id(cond)]
-                if test is not None:
-                    work.append(then if test(state) != 0 else orelse)
-                    return False
-                for v, ch in self.eval(cond, state, choices):
-                    w = list(work)
-                    w.append(then if v != 0 else orelse)
+                    taken = then if v != 0 else orelse
+                    w = list(work) if taken is None else [*work, taken]
                     self.run(w, _copy_state(state), ch)
                 return True
             case For(iterator=it, init=init):
@@ -562,11 +557,19 @@ class _DivByZero(Exception):
         self.loc = loc
 
 
-def _prepare(p: Program, cfg: OracleConfig) -> Program:
+def _drive(p: Program, cfg: OracleConfig | None, **machine_args) -> Verdict:
+    """Scale and check ``p`` under ``cfg``, run a machine over it, and turn
+    its first failure into an unsafe verdict."""
+    cfg = cfg or OracleConfig()
     if cfg.array_size_override is not None:
         p = scale_arrays(p, cfg.array_size_override)
     _check_constant_bounds(p)
-    return p
+    machine = _Machine(p, cfg, **machine_args)
+    try:
+        machine.run([p.body], _initial_state(p), [])
+    except _Failure as f:
+        return Verdict("unsafe", Trace(f.choices, f.loc, f.state))
+    return Verdict("safe")
 
 
 def enumerate_runs(
@@ -582,14 +585,7 @@ def enumerate_runs(
     location. ``on_array_access`` observes every in-bounds array read and
     write as ``(array_name, index)``.
     """
-    cfg = cfg or OracleConfig()
-    p = _prepare(p, cfg)
-    machine = _Machine(p, cfg, on_complete=on_complete, on_array_access=on_array_access)
-    try:
-        machine.run([p.body], _initial_state(p), [])
-    except _Failure as f:
-        return Verdict("unsafe", Trace(f.choices, f.loc, f.state))
-    return Verdict("safe")
+    return _drive(p, cfg, on_complete=on_complete, on_array_access=on_array_access)
 
 
 def replay_trace(
@@ -600,14 +596,7 @@ def replay_trace(
     A trace recorded from :func:`enumerate_runs` deterministically reproduces
     its verdict, including the failing assertion location.
     """
-    cfg = cfg or OracleConfig()
-    p = _prepare(p, cfg)
-    machine = _Machine(p, cfg, script=list(choices))
-    try:
-        machine.run([p.body], _initial_state(p), [])
-    except _Failure as f:
-        return Verdict("unsafe", Trace(f.choices, f.loc, f.state))
-    return Verdict("safe")
+    return _drive(p, cfg, script=list(choices))
 
 
 def collect_final_states(p: Program, cfg: OracleConfig | None = None) -> list[dict]:

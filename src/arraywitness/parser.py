@@ -28,7 +28,6 @@ from .astnodes import (
     Decl,
     For,
     If,
-    IfElse,
     Input,
     Nd,
     NdRange,
@@ -207,9 +206,7 @@ class _Parser:
             cond = self.expression()
             self.expect(")")
             then = self.statement()
-            if self.accept("else"):
-                return IfElse(cond, then, self.statement())
-            return If(cond, then)
+            return If(cond, then, self.statement() if self.accept("else") else None)
         if self.accept("for"):
             return self.for_statement()
         if self.accept("assert"):

@@ -30,7 +30,6 @@ from .astnodes import (
     Continue,
     For,
     If,
-    IfElse,
     Input,
     Program,
     Read,
@@ -253,15 +252,12 @@ def _def_before_use_ok(loop: For, x: str) -> bool:
                 return defined, True
             case Assert(cond):
                 return defined, defined or not uses(cond)
-            case If(cond, then):
-                if uses(cond) and not defined:
-                    return defined, False
-                d1, ok = stmt_ok(then, defined)
-                return defined and d1, ok
-            case IfElse(cond, then, orelse):
+            case If(cond, then, orelse):
                 if uses(cond) and not defined:
                     return defined, False
                 d1, ok1 = stmt_ok(then, defined)
+                if orelse is None:  # a missing else leaves x defined as before
+                    return defined and d1, ok1
                 d2, ok2 = stmt_ok(orelse, defined)
                 return d1 and d2, ok1 and ok2
             case For(iterator=it):

@@ -26,7 +26,6 @@ from .astnodes import (
     Expr,
     For,
     If,
-    IfElse,
     Input,
     Nd,
     NdRange,
@@ -130,14 +129,12 @@ def print_stmt(s, indent: int, out: list[str], lower=None) -> None:
             )
         case Assert(cond):
             out.append(f"{pad}assert({ex(cond)});")
-        case If(cond, then):
+        case If(cond, then, orelse):
             out.append(f"{pad}if ({ex(cond)})")
             _print_body(then, indent, out, lower)
-        case IfElse(cond, then, orelse):
-            out.append(f"{pad}if ({ex(cond)})")
-            _print_body(then, indent, out, lower)
-            out.append(pad + "else")
-            _print_body(orelse, indent, out, lower)
+            if orelse is not None:
+                out.append(pad + "else")
+                _print_body(orelse, indent, out, lower)
         case For(iterator, init, test, step, body):
             out.append(
                 f"{pad}for ({iterator} = {ex(init)}; "

@@ -27,7 +27,6 @@ from .astnodes import (
     Decl,
     For,
     If,
-    IfElse,
     Nd,
     NdRange,
     Program,
@@ -198,16 +197,11 @@ def transform_stmt(s, ctx: TransformContext) -> list[Stmt]:
             return [Assign(target, transform_expr(value, ctx))]
         case For():
             return transform_loop(s, ctx)
-        case IfElse(cond, then, orelse):
-            return [
-                IfElse(
-                    transform_expr(cond, ctx),
-                    _as_then(transform_stmt(then, ctx)),
-                    _as_stmt(transform_stmt(orelse, ctx)),
-                )
-            ]
-        case If(cond, then):
-            return [If(transform_expr(cond, ctx), _as_stmt(transform_stmt(then, ctx)))]
+        case If(cond, then, orelse):
+            cond, then = transform_expr(cond, ctx), transform_stmt(then, ctx)
+            if orelse is None:
+                return [If(cond, _as_stmt(then))]
+            return [If(cond, _as_then(then), _as_stmt(transform_stmt(orelse, ctx)))]
         case Assert(cond):
             return [Assert(transform_expr(cond, ctx))]
         case Break() | Continue():
@@ -225,7 +219,7 @@ def _as_stmt(stmts: list[Stmt]) -> Stmt:
 def _as_then(stmts: list[Stmt]) -> Stmt:
     # A conditional as the then-branch keeps its braces: printed bare, C would
     # bind the following else to it rather than to the enclosing if.
-    if len(stmts) == 1 and isinstance(stmts[0], (If, IfElse)):
+    if len(stmts) == 1 and isinstance(stmts[0], If):
         return Block(stmts)
     return _as_stmt(stmts)
 

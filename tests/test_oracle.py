@@ -5,6 +5,7 @@ from arraywitness import (
     collect_final_states,
     differential_check,
     enumerate_runs,
+    generate_program,
     parse,
     replay_trace,
     transform_program,
@@ -132,6 +133,34 @@ def test_deterministic_division_by_zero_fails_at_the_division():
     assert v.witness.nd_choices == []
     assert v.witness.failing_assert == division.loc
     assert v.witness.final_state == {"x": 0, "y": 0}
+
+
+def test_division_by_zero_after_a_choice_keeps_the_choice():
+    # The division is a choice-free operand of an expression that has already
+    # chosen: the witness holds that choice and replays to the division.
+    p = parse("int x, y;\nmain() { x = 0; y = nd() + 4 / x; }")
+    division = p.body.stmts[1].value.rhs
+    v = enumerate_runs(p, SMALL)
+    assert not v.safe
+    assert v.witness.nd_choices == [0]
+    assert v.witness.failing_assert == division.loc
+    r = replay_trace(p, v.witness.nd_choices, SMALL)
+    assert r.witness == v.witness
+
+
+@pytest.mark.parametrize("seed", [278, 325])
+def test_division_witnesses_of_generated_programs_replay(seed):
+    cfg = OracleConfig(value_domain=(0, 2), max_steps=400_000)
+    original = generate_program(seed)
+    diff = differential_check(original, cfg=cfg)
+    sides = ((original, diff.orig_verdict), (transform_program(original), diff.trans_verdict))
+    replayed = 0
+    for program, verdict in sides:
+        if not verdict.safe:
+            r = replay_trace(program, verdict.witness.nd_choices, cfg)
+            assert r.witness == verdict.witness
+            replayed += 1
+    assert replayed
 
 
 def test_array_access_callbacks_in_evaluation_order():

@@ -110,6 +110,21 @@ def test_iterator_redefinition_relaxation():
     assert classify(p, _only_assert_loc(p)).precise
 
 
+@pytest.mark.parametrize("orelse, precise", [(" else { k = 1; }", True), ("", False)])
+def test_definition_before_use_merges_both_branches(orelse, precise):
+    # k is re-defined from a constant on both branches, or on one only: a
+    # missing else leaves k carried from the previous iteration.
+    p = parse(
+        "int c, i, k;\nint a[4];\n"
+        "main() { c = input(); for (i = 0; i < 4; i++) { "
+        f"if (c > 0) {{ k = 0; }}{orelse} a[i] = k; assert(a[i] == k); }} }}"
+    )
+    verdict = classify(p, _only_assert_loc(p))
+    assert verdict.precise is precise
+    rules = {v.rule for v in verdict.violated_rules}
+    assert rules == (set() if precise else {"s4", "d6"})
+
+
 def test_d6_violation_on_carried_scalar_in_write():
     p = parse(
         "int i, k;\nint a[4];\n"

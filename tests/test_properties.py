@@ -28,7 +28,6 @@ from arraywitness.astnodes import (
     Decl,
     For,
     If,
-    IfElse,
     Program,
     Read,
     Var,
@@ -92,7 +91,7 @@ def _unguarded_arrays(s) -> set[str]:
     match s:
         case Block(stmts):
             return set().union(*map(_unguarded_arrays, stmts))
-        case If(cond) | IfElse(cond):
+        case If(cond):
             return arrays_accessed(cond)
     return arrays_accessed(s)
 
