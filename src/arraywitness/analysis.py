@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator
 
 from .astnodes import (
     ARRAY_INT,
@@ -27,7 +28,7 @@ from .astnodes import (
     Program,
     Read,
     Var,
-    arrays_accessed,
+    _CHILDREN,
     children,
     walk,
 )
@@ -57,18 +58,6 @@ class IndexRange:
     kind: BoundKind
     lo: int | None = None
     hi: int | None = None
-
-    @staticmethod
-    def known(lo: int, hi: int) -> "IndexRange":
-        return IndexRange(BoundKind.KNOWN, lo, hi)
-
-    @staticmethod
-    def empty() -> "IndexRange":
-        return IndexRange(BoundKind.EMPTY)
-
-    @staticmethod
-    def unknown() -> "IndexRange":
-        return IndexRange(BoundKind.UNKNOWN)
 
 
 @dataclass
@@ -132,21 +121,113 @@ def loop_bound(loop: For) -> IndexRange:
     c1 = _init_const(loop)
     c3 = _step_const(loop)
     if c1 is None or c3 is None or c3 < 1:
-        return IndexRange.unknown()
+        return IndexRange(BoundKind.UNKNOWN)
     match loop.test:
         case BinOp("<", Read(Var(name)), Const(c2)) if name == loop.iterator:
             limit = c2 - 1
         case BinOp("<=", Read(Var(name)), Const(c2)) if name == loop.iterator:
             limit = c2
         case _:
-            return IndexRange.unknown()
+            return IndexRange(BoundKind.UNKNOWN)
     if c1 > limit:
-        return IndexRange.empty()
-    return IndexRange.known(c1, c1 + ((limit - c1) // c3) * c3)
+        return IndexRange(BoundKind.EMPTY)
+    return IndexRange(BoundKind.KNOWN, c1, c1 + ((limit - c1) // c3) * c3)
 
 
-def _is_iter_read(e, iterator: str) -> bool:
-    return isinstance(e, Read) and isinstance(e.lv, Var) and e.lv.name == iterator
+def _read_var(e) -> str | None:
+    """The variable an expression reads when it is a bare read, else None."""
+    return e.lv.name if type(e) is Read and type(e.lv) is Var else None
+
+
+@dataclass(slots=True)
+class _Body:
+    """What a loop's body holds, nested loops included. The scan fills the
+    innermost open loop's record and merges it outwards when the loop closes."""
+
+    loop: For | None
+    outer: "_Body | None"
+    mark: int  # array accesses scanned before the loop's header
+    accesses: set = field(default_factory=set)  # (array, index var or None)
+    writes: set = field(default_factory=set)  # the same, for array writes
+    const: set = field(default_factory=set)  # scalars assigned a constant
+    varying: set = field(default_factory=set)  # assigned otherwise; nested iterators
+    owns_jump: bool = False  # a break/continue binding to this loop
+    nested: bool = False  # a nested loop has a break/continue or an array access
+
+
+def _scan(root) -> list[_Body]:
+    """The record of every loop under ``root``, in pre-order, from one pass that
+    expands each node once. A loop's second pop, after its body, closes it."""
+    loops = []
+    rec = _Body(None, None, 0)  # outside every loop
+    stack = [root]
+    count = 0  # array accesses scanned so far
+    expand_of = _CHILDREN.get
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is For:
+            if node is rec.loop:  # its body is done
+                outer = rec.outer
+                outer.accesses |= rec.accesses
+                outer.writes |= rec.writes
+                outer.const |= rec.const
+                outer.varying |= rec.varying
+                outer.varying.add(node.iterator)
+                outer.nested |= rec.owns_jump or rec.nested or bool(rec.accesses)
+                rec = outer
+            else:
+                loops.append(_Body(node, rec, count))
+                # The header is in the enclosing body; the record starts this one.
+                stack += (node, node.body, loops[-1], node.step, node.test, node.init)
+            continue
+        if t is _Body:
+            rec.nested |= count != node.mark  # the header accesses an array
+            rec = node
+            continue
+        if t is ArrayAccess:
+            count += 1
+            rec.accesses.add((node.array, _read_var(node.index)))
+        elif t is Assign:
+            target = node.target
+            if type(target) is Var:
+                (rec.const if type(node.value) is Const else rec.varying).add(target.name)
+            else:
+                rec.writes.add((target.array, _read_var(target.index)))
+        elif t is Break or t is Continue:
+            rec.owns_jump = True
+        expand = expand_of(t)
+        if expand is not None:
+            stack += expand(node)[::-1]
+    return loops
+
+
+def _summarize(root, arrays: list[ArrayInfo]) -> Iterator[LoopSummary]:
+    """A summary per loop under ``root``, in pre-order."""
+    sizes = {a.name: a.size for a in arrays}
+    for rec in _scan(root):
+        loop, it = rec.loop, rec.loop.iterator
+        accessed = {a for a, _ in rec.accesses}
+        bound = loop_bound(loop)
+        full = (  # full_array_access's list; a nested loop over `it` puts it in varying
+            bound.kind == BoundKind.KNOWN and bound.lo == 0 and _step_const(loop) == 1
+            and bool(accessed) and all(sizes.get(a) == bound.hi + 1 for a in accessed)
+            and {index for _, index in rec.accesses} == {it}
+            and not (rec.owns_jump or rec.nested)
+            and it not in rec.const and it not in rec.varying
+        )
+        defs = rec.varying - {it}
+        defs |= {a for a, index in rec.writes if index != it}
+        for name in rec.const - rec.varying - {it}:
+            # A constant assignment leaves no iteration dependence only when
+            # it dominates every use within an iteration.
+            if not _const_def_dominates(loop.body, name):
+                defs.add(name)
+        yield LoopSummary(
+            loop.loc, it, full, defs, bound,
+            [a.name for a in arrays if a.name in accessed],
+            _step_const(loop), _init_const(loop), rec.owns_jump,
+        )
 
 
 def full_array_access(loop: For, arrays: list[ArrayInfo]) -> bool:
@@ -164,35 +245,7 @@ def full_array_access(loop: For, arrays: list[ArrayInfo]) -> bool:
     iterator; no break/continue or iterator assignment in the body; no nested
     loop over the same arrays. Any miss returns False.
     """
-    sizes = {a.name: a.size for a in arrays}
-    bound = loop_bound(loop)
-    if (
-        bound.kind != BoundKind.KNOWN
-        or bound.lo != 0
-        or _step_const(loop) != 1
-    ):
-        return False
-    trip_count = bound.hi + 1
-    accessed = arrays_accessed(loop.body)
-    if not accessed:
-        return False
-    if any(sizes.get(a) != trip_count for a in accessed):
-        return False
-    for node in walk(loop.body):
-        match node:
-            case ArrayAccess(index=index):
-                if not _is_iter_read(index, loop.iterator):
-                    return False
-            case Break() | Continue():
-                return False
-            case Assign(Var(name)) if name == loop.iterator:
-                return False
-            case For() as nested if nested is not loop:
-                if arrays_accessed(nested) & accessed:
-                    return False
-                if nested.iterator == loop.iterator:
-                    return False
-    return True
+    return next(_summarize(loop, arrays)).full_access
 
 
 def _const_def_dominates(body, name: str) -> bool:
@@ -222,67 +275,14 @@ def loop_defs(loop: For) -> set[str]:
     the iterator is never included; an array is included when some write uses
     an index not syntactically equal to the iterator.
     """
-    const_only: set[str] = set()
-    varying: set[str] = set()
-    arrays: set[str] = set()
-    for node in walk(loop.body):
-        match node:
-            case Assign(Var(name), rhs):
-                if name == loop.iterator:
-                    continue
-                if isinstance(rhs, Const):
-                    const_only.add(name)
-                else:
-                    varying.add(name)
-            case Assign(ArrayAccess(array, index), _):
-                if not _is_iter_read(index, loop.iterator):
-                    arrays.add(array)
-            case For(iterator=it) if it != loop.iterator:
-                # Nested headers modify their own iterator.
-                varying.add(it)
-    defs = varying | arrays
-    for name in const_only - varying:
-        # A constant assignment leaves no iteration dependence only when it
-        # dominates every use within an iteration; otherwise keep the
-        # over-approximation.
-        if not _const_def_dominates(loop.body, name):
-            defs.add(name)
-    return defs
-
-
-def analyze_loop(loop: For, arrays: list[ArrayInfo]) -> LoopSummary:
-    accessed_set = arrays_accessed(loop.body)
-    return LoopSummary(
-        loop_loc=loop.loc,
-        iterator=loop.iterator,
-        full_access=full_array_access(loop, arrays),
-        defs=loop_defs(loop),
-        bound=loop_bound(loop),
-        accessed_arrays=[a.name for a in arrays if a.name in accessed_set],
-        step_const=_step_const(loop),
-        init_const=_init_const(loop),
-        has_break_or_continue=_owns_break_or_continue(loop.body),
-    )
-
-
-def _owns_break_or_continue(node) -> bool:
-    """break/continue binding to this loop (nested loops own theirs)."""
-    if isinstance(node, (Break, Continue)):
-        return True
-    if isinstance(node, For):
-        return False
-    return any(_owns_break_or_continue(c) for c in children(node))
+    return next(_summarize(loop, [])).defs
 
 
 def analyze_program(p: Program) -> tuple[list[ArrayInfo], dict[int, LoopSummary]]:
-    """Array inventory and a summary for every loop, keyed by location id."""
+    """Array inventory and a summary for every loop, keyed by location id,
+    from one pass over the body."""
     arrays = collect_arrays(p)
-    summaries = {
-        loop.loc: analyze_loop(loop, arrays)
-        for loop in walk(p.body)
-        if isinstance(loop, For)
-    }
-    return arrays, summaries
+    return arrays, {s.loop_loc: s for s in _summarize(p.body, arrays)}
 
 
 class ProgramFacts:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (and oracle agreement), 1 when the oracle found a
 soundness or precision-consistency violation, 2 on usage, parse or analysis
-errors.
+errors and on a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -26,10 +27,19 @@ BMC_TIMEOUT_S = 600  # wall-clock limit for the --bmc checker run
 
 
 def _atomic_write(path: str, content: str) -> None:
+    """Replace ``path`` by ``content`` in one rename. A replaced file keeps its
+    mode; a new one gets the mode ``open(path, "w")`` would give it."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as f:
+            os.fchmod(f.fileno(), mode)  # mkstemp creates it as 0600
             f.write(content)
         os.replace(tmp, path)
     except BaseException:
@@ -46,6 +56,12 @@ def _parse_domain(text: str) -> tuple[int, int]:
     if lo > hi:
         raise ValueError("empty domain")
     return lo, hi
+
+
+def _io_error(verb: str, path: str, e: OSError | UnicodeDecodeError) -> int:
+    reason = getattr(e, "strerror", None) or e
+    print(f"error: cannot {verb} {path}: {reason}", file=sys.stderr)
+    return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,10 +103,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls.
+_PARSER = _build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
 
@@ -113,9 +132,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         with open(args.input) as f:
             source = f.read()
-    except OSError as e:
-        print(f"error: cannot read {args.input}: {e.strerror}", file=sys.stderr)
-        return 2
+    except (OSError, UnicodeDecodeError) as e:
+        return _io_error("read", args.input, e)
 
     try:
         program = parse(source)
@@ -131,13 +149,19 @@ def run(argv: list[str] | None = None) -> int:
         except EmitError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-        _atomic_write(args.output, text)
+        try:
+            _atomic_write(args.output, text)
+        except OSError as e:
+            return _io_error("write", args.output, e)
 
     verdicts = classify_all(program, facts)
     if args.report:
-        _atomic_write(
-            args.report, emit_report(result.arrays, result.summaries, verdicts)
-        )
+        try:
+            _atomic_write(
+                args.report, emit_report(result.arrays, result.summaries, verdicts)
+            )
+        except OSError as e:
+            return _io_error("write", args.report, e)
     if args.check_precision:
         for v in verdicts:
             if v.precise:

@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .analysis import ProgramFacts, _is_iter_read
+from .analysis import ProgramFacts, _read_var
 from .astnodes import (
     ArrayAccess,
     Assert,
@@ -309,7 +309,7 @@ def classify(
     # a2: dependent array reads are indexed by the assertion loop's iterator
     # and sit inside loops (reads outside any loop lose their iterator pin).
     for acc in e_imp:
-        if not _is_iter_read(acc.index, s_a.iterator):
+        if _read_var(acc.index) != s_a.iterator:
             violations.append(
                 RuleViolation(
                     "a2",
@@ -371,7 +371,7 @@ def classify(
             match node:
                 case Assign(ArrayAccess(), rhs):
                     for acc in _array_reads(rhs):
-                        if not _is_iter_read(acc.index, loop.iterator):
+                        if _read_var(acc.index) != loop.iterator:
                             violations.append(
                                 RuleViolation(
                                     "d5",

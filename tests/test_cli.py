@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import stat
+import subprocess
+import sys
 
 from arraywitness import cli, parse
 from arraywitness.cli import run
@@ -174,3 +178,66 @@ def test_bmc_timeout_is_an_error(tmp_path, capsys, monkeypatch):
     assert run(["transform", FIG1, "-o", str(out), "--bmc"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "did not finish" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "missing-directory", "report-is-a-directory"])
+def test_unreadable_or_unwritable_file_is_an_error(tmp_path, capsys, case):
+    src = tmp_path / "in.c"
+    src.write_bytes(b"int i;\xff\nmain() { }\n")
+    argv, verb, path = {
+        "not-utf8": (["transform", str(src)], "read", src),
+        "missing-directory": (
+            ["transform", FIG1, "-o", str(tmp_path / "no-dir" / "x.c")],
+            "write", tmp_path / "no-dir" / "x.c",
+        ),
+        "report-is-a-directory": (
+            ["transform", FIG1, "--report", str(tmp_path)], "write", tmp_path,
+        ),
+    }[case]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot {verb} {path}: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+def test_output_files_get_normal_modes(tmp_path):
+    out, report = tmp_path / "out.c", tmp_path / "report.json"
+    argv = ["transform", FIG1, "-o", str(out), "--report", str(report)]
+    old = os.umask(0o022)
+    try:
+        assert run(argv) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert stat.S_IMODE(report.stat().st_mode) == 0o644
+        out.chmod(0o640)
+        report.chmod(0o604)
+        os.umask(0o077)
+        assert run(argv) == 0  # replaced files keep their modes
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert stat.S_IMODE(report.stat().st_mode) == 0o604
+        out.unlink()
+        assert run(argv) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    finally:
+        os.umask(old)
+
+
+def test_shared_parser_gives_each_call_its_own_output(tmp_path, capsys, monkeypatch):
+    # The argument parser is built once per process; each call must still
+    # behave as the only call of a fresh process.
+    monkeypatch.setenv("COLUMNS", "80")
+    usage_error = ["transform", FIG1, "--nd-style", "bogus"]
+    calls = [
+        usage_error,
+        ["transform", "--help"],
+        ["transform", FIG1, "-o", str(tmp_path / "out.c"), "--check-precision"],
+        usage_error,
+    ]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    script = "import sys; from arraywitness.cli import run; sys.exit(run(sys.argv[1:]))"
+    for argv in calls:
+        alone = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        status = run(argv)
+        captured = capsys.readouterr()
+        assert (status, captured.out, captured.err) == (
+            alone.returncode, alone.stdout, alone.stderr), argv

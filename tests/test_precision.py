@@ -1,6 +1,7 @@
 import pytest
 
 from arraywitness import (
+    analyze_program,
     astnodes,
     classify,
     classify_all,
@@ -201,6 +202,35 @@ def test_transform_work_grows_linearly_with_assertions(monkeypatch):
         return visits[0]
 
     assert work(32) <= 5 * work(8)
+
+
+def _ladder(d: int):
+    """d nested loops, each writing one cell of its own array."""
+    iterators = ", ".join(f"i{j}" for j in range(d))
+    arrays = ", ".join(f"a{j}[4]" for j in range(d))
+    body = ""
+    for j in reversed(range(d)):
+        body = f"for (i{j} = 0; i{j} < 4; i{j}++) {{ a{j}[i{j}] = {j}; {body}}}"
+    return parse(f"int {iterators};\nint {arrays};\nmain() {{ {body} }}\n")
+
+
+def test_analysis_work_per_node_is_flat_in_nesting_depth(monkeypatch):
+    # A walk of each loop body on its own visits a node once per enclosing
+    # loop, so its work per node grows with the depth: 2.5 expansions per
+    # node at d = 2 and 16.5 at d = 16. One pass stays at 0.45.
+    visits = _count_expansions(monkeypatch)
+
+    def per_node(d: int) -> float:
+        p = _ladder(d)
+        nodes = sum(1 for _ in astnodes.walk(p))
+        visits[0] = 0
+        _, summaries = analyze_program(p)
+        assert len(summaries) == d
+        return visits[0] / nodes
+
+    base = per_node(2)
+    for d in (4, 8, 16):
+        assert per_node(d) <= 1.25 * base, d
 
 
 def _programs():
