@@ -1,6 +1,6 @@
 """Static facts feeding the transformation and the precision rules: array
 inventory, full-access detection, modified-variable sets, loop bounds, and
-per-node context and def index (``ProgramFacts``).
+per-statement context and def index, all from one scan (``ProgramFacts``).
 
 Safe directions differ per analysis and are relied on by the transformation:
 ``full_array_access`` may only err towards ``False`` (under-approximation),
@@ -18,6 +18,7 @@ from typing import Iterator
 from .astnodes import (
     ARRAY_INT,
     ArrayAccess,
+    Assert,
     Assign,
     BinOp,
     Break,
@@ -29,7 +30,6 @@ from .astnodes import (
     Read,
     Var,
     _CHILDREN,
-    children,
     walk,
 )
 
@@ -140,6 +140,35 @@ def _read_var(e) -> str | None:
 
 
 @dataclass(slots=True)
+class ProgramFacts:
+    """What the transformation and the precision rules read about a program,
+    as :func:`analyze_program` fills it in one scan. Every lookup is a dictionary
+    access, so a client that follows def chains pays only for the chains it follows.
+
+    - ``arrays``: the witness pair of each declared array, in declaration order;
+    - ``summaries``: loop location id -> the loop's :class:`LoopSummary`;
+    - ``loops``, ``guards``, ``order``: keyed by ``id`` of each ``Assign``,
+      ``Assert`` and ``For`` node, and of no other: its enclosing loops (a loop
+      is not among its own) and the conditions of its enclosing ifs, both
+      outermost first, and its rank among those statements in pre-order;
+    - ``defs``, ``writes``: scalar name -> its assignments, array name -> its
+      element writes, in program order;
+    - ``iterators``: the iterator names of all loops;
+    - ``asserts``: location id -> assertion, in program order.
+    """
+
+    arrays: list[ArrayInfo]
+    summaries: dict[int, LoopSummary] = field(default_factory=dict)
+    loops: dict[int, tuple[For, ...]] = field(default_factory=dict)
+    guards: dict[int, tuple] = field(default_factory=dict)
+    order: dict[int, int] = field(default_factory=dict)
+    defs: dict[str, list[Assign]] = field(default_factory=dict)
+    writes: dict[str, list[Assign]] = field(default_factory=dict)
+    iterators: set[str] = field(default_factory=set)
+    asserts: dict[int, Assert] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
 class _Body:
     """What a loop's body holds, nested loops included. The scan fills the
     innermost open loop's record and merges it outwards when the loop closes."""
@@ -147,6 +176,7 @@ class _Body:
     loop: For | None
     outer: "_Body | None"
     mark: int  # array accesses scanned before the loop's header
+    open: tuple  # the loops open in the body, outermost first, this one last
     accesses: set = field(default_factory=set)  # (array, index var or None)
     writes: set = field(default_factory=set)  # the same, for array writes
     const: set = field(default_factory=set)  # scalars assigned a constant
@@ -155,35 +185,45 @@ class _Body:
     nested: bool = False  # a nested loop has a break/continue or an array access
 
 
-def _scan(root) -> list[_Body]:
+def _scan(root, facts: ProgramFacts) -> list[_Body]:
     """The record of every loop under ``root``, in pre-order, from one pass that
-    expands each node once. A loop's second pop, after its body, closes it."""
+    expands each node once and fills the per-statement tables of ``facts``. A
+    loop's second pop, after its body, closes it; a popped tuple sets the guards."""
     loops = []
-    rec = _Body(None, None, 0)  # outside every loop
+    rec = _Body(None, None, 0, ())  # outside every loop
+    guards = ()
     stack = [root]
     count = 0  # array accesses scanned so far
     expand_of = _CHILDREN.get
+    in_loops, in_guards, order = facts.loops, facts.guards, facts.order
     while stack:
         node = stack.pop()
         t = type(node)
-        if t is For:
-            if node is rec.loop:  # its body is done
-                outer = rec.outer
-                outer.accesses |= rec.accesses
-                outer.writes |= rec.writes
-                outer.const |= rec.const
-                outer.varying |= rec.varying
-                outer.varying.add(node.iterator)
-                outer.nested |= rec.owns_jump or rec.nested or bool(rec.accesses)
-                rec = outer
-            else:
-                loops.append(_Body(node, rec, count))
-                # The header is in the enclosing body; the record starts this one.
-                stack += (node, node.body, loops[-1], node.step, node.test, node.init)
-            continue
         if t is _Body:
             rec.nested |= count != node.mark  # the header accesses an array
             rec = node
+            continue
+        if t is tuple:
+            guards = node
+            continue
+        if t is For and node is rec.loop:  # its body is done
+            outer = rec.outer
+            outer.accesses |= rec.accesses
+            outer.writes |= rec.writes
+            outer.const |= rec.const
+            outer.varying |= rec.varying
+            outer.varying.add(node.iterator)
+            outer.nested |= rec.owns_jump or rec.nested or bool(rec.accesses)
+            rec = outer
+            continue
+        if t is Assign or t is Assert or t is For:
+            key = id(node)
+            in_loops[key], in_guards[key], order[key] = rec.open, guards, len(order)
+        if t is For:
+            facts.iterators.add(node.iterator)
+            loops.append(_Body(node, rec, count, rec.open + (node,)))
+            # The header is in the enclosing body; the record starts this one.
+            stack += (node, node.body, loops[-1], node.step, node.test, node.init)
             continue
         if t is ArrayAccess:
             count += 1
@@ -192,8 +232,16 @@ def _scan(root) -> list[_Body]:
             target = node.target
             if type(target) is Var:
                 (rec.const if type(node.value) is Const else rec.varying).add(target.name)
+                facts.defs.setdefault(target.name, []).append(node)
             else:
                 rec.writes.add((target.array, _read_var(target.index)))
+                facts.writes.setdefault(target.array, []).append(node)
+        elif t is Assert:
+            facts.asserts[node.loc] = node
+        elif t is If:  # the condition, then the branches under it
+            cond, *branches = expand_of(If)(node)
+            stack += (guards, *branches[::-1], guards + (cond,), cond)
+            continue
         elif t is Break or t is Continue:
             rec.owns_jump = True
         expand = expand_of(t)
@@ -202,10 +250,10 @@ def _scan(root) -> list[_Body]:
     return loops
 
 
-def _summarize(root, arrays: list[ArrayInfo]) -> Iterator[LoopSummary]:
-    """A summary per loop under ``root``, in pre-order."""
-    sizes = {a.name: a.size for a in arrays}
-    for rec in _scan(root):
+def _summarize(root, facts: ProgramFacts) -> Iterator[LoopSummary]:
+    """A summary per loop under ``root``, in pre-order, over ``facts.arrays``."""
+    sizes = {a.name: a.size for a in facts.arrays}
+    for rec in _scan(root, facts):
         loop, it = rec.loop, rec.loop.iterator
         accessed = {a for a, _ in rec.accesses}
         bound = loop_bound(loop)
@@ -225,7 +273,7 @@ def _summarize(root, arrays: list[ArrayInfo]) -> Iterator[LoopSummary]:
                 defs.add(name)
         yield LoopSummary(
             loop.loc, it, full, defs, bound,
-            [a.name for a in arrays if a.name in accessed],
+            [a.name for a in facts.arrays if a.name in accessed],
             _step_const(loop), _init_const(loop), rec.owns_jump,
         )
 
@@ -245,7 +293,7 @@ def full_array_access(loop: For, arrays: list[ArrayInfo]) -> bool:
     iterator; no break/continue or iterator assignment in the body; no nested
     loop over the same arrays. Any miss returns False.
     """
-    return next(_summarize(loop, arrays)).full_access
+    return next(_summarize(loop, ProgramFacts(arrays))).full_access
 
 
 def _const_def_dominates(body, name: str) -> bool:
@@ -275,60 +323,12 @@ def loop_defs(loop: For) -> set[str]:
     the iterator is never included; an array is included when some write uses
     an index not syntactically equal to the iterator.
     """
-    return next(_summarize(loop, [])).defs
+    return next(_summarize(loop, ProgramFacts([]))).defs
 
 
-def analyze_program(p: Program) -> tuple[list[ArrayInfo], dict[int, LoopSummary]]:
-    """Array inventory and a summary for every loop, keyed by location id,
-    from one pass over the body."""
-    arrays = collect_arrays(p)
-    return arrays, {s.loop_loc: s for s in _summarize(p.body, arrays)}
-
-
-class ProgramFacts:
-    """What the transformation and the precision rules read about a program,
-    computed once: one :func:`analyze_program` call and one walk of the body.
-    Every lookup afterwards is a dictionary access, so a client that follows
-    def chains pays only for the chains it follows.
-
-    - ``arrays``, ``summaries``: as :func:`analyze_program` returns them;
-    - ``loops``, ``guards``: per node (keyed by ``id``), its enclosing loops
-      and the conditions of its enclosing ifs, outermost first;
-    - ``order``: per node (keyed by ``id``), its pre-order position;
-    - ``nodes``: location id -> node;
-    - ``defs``, ``writes``: per scalar, its assignments, and per array, its
-      element writes, in program order;
-    - ``iterators``: the iterator names of all loops.
-    """
-
-    def __init__(self, p: Program):
-        self.arrays, self.summaries = analyze_program(p)
-        self.loops: dict[int, tuple[For, ...]] = {}
-        self.guards: dict[int, tuple] = {}
-        self.order: dict[int, int] = {}
-        self.nodes: dict[int, object] = {d.loc: d for d in p.decls}
-        self.defs: dict[str, list[Assign]] = {}
-        self.writes: dict[str, list[Assign]] = {}
-        self.iterators: set[str] = set()
-        self._visit(p.body, (), ())
-
-    def _visit(self, node, loops, guards) -> None:
-        self.loops[id(node)] = loops
-        self.guards[id(node)] = guards
-        self.order[id(node)] = len(self.order)
-        self.nodes[node.loc] = node
-        match node:
-            case For():
-                self.iterators.add(node.iterator)
-                loops += (node,)
-            case Assign(Var(name)):
-                self.defs.setdefault(name, []).append(node)
-            case Assign(ArrayAccess(array)):
-                self.writes.setdefault(array, []).append(node)
-            case If(cond):
-                self._visit(cond, loops, guards)
-                for branch in children(node)[1:]:
-                    self._visit(branch, loops, guards + (cond,))
-                return
-        for c in children(node):
-            self._visit(c, loops, guards)
+def analyze_program(p: Program) -> ProgramFacts:
+    """The array inventory, a summary for every loop and the per-statement
+    tables of ``p``, from one scan of the body."""
+    facts = ProgramFacts(collect_arrays(p))
+    facts.summaries = {s.loop_loc: s for s in _summarize(p.body, facts)}
+    return facts

@@ -15,7 +15,7 @@ import subprocess
 import sys
 import tempfile
 
-from .analysis import ProgramFacts
+from .analysis import analyze_program
 from .emit import EmitConfig, EmitError, ND_STYLES, emit_report, emit_verifiable
 from .oracle import OracleConfig, OracleError, differential_check
 from .parser import ParseError, parse
@@ -49,12 +49,12 @@ def _atomic_write(path: str, content: str) -> None:
 
 
 def _parse_domain(text: str) -> tuple[int, int]:
-    lo_text, sep, hi_text = text.partition(":")
-    if not sep:
-        raise ValueError("expected lo:hi")
-    lo, hi = int(lo_text), int(hi_text)
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
     if lo > hi:
-        raise ValueError("empty domain")
+        raise argparse.ArgumentTypeError(f"empty domain {text!r}")
     return lo, hi
 
 
@@ -137,7 +137,7 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         program = parse(source)
-        facts = ProgramFacts(program)
+        facts = analyze_program(program)
         result = transform_with_info(program, facts)
     except (ParseError, TransformError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .analysis import ARRAY_INT, BoundKind, ProgramFacts, loop_bound
+from .analysis import ARRAY_INT, BoundKind, analyze_program, loop_bound
 from .astnodes import (
     ArrayAccess,
     Assert,
@@ -317,13 +317,6 @@ class _Machine:
 
     # -- expression evaluation --------------------------------------------
 
-    def eval_det(self, e, state) -> int:
-        """Evaluate a choice-free expression."""
-        f = self._det.get(id(e))
-        if f is None:
-            raise OracleError(f"cannot evaluate {type(e).__name__} deterministically")
-        return f(state)
-
     def eval(self, e, state, choices: list[int]) -> Iterator[tuple[int, list[int]]]:
         """Enumerate the possible values of ``e``, threading choice lists."""
         det = self._det[id(e)]
@@ -342,6 +335,8 @@ class _Machine:
                 if self.script is not None:
                     yield self._scripted(choices, lo, hi, e.loc)
                     return
+                if hi - lo >= self.cfg.max_steps:
+                    raise _too_wide(e.loc, self.cfg.max_steps)
                 for v in range(lo, hi + 1):
                     yield v, choices + [v]
             case NdRange(lo_e, hi_e):
@@ -350,6 +345,8 @@ class _Machine:
                         if self.script is not None:
                             yield self._scripted(ch2, lo, hi, e.loc)
                             return
+                        if hi - lo >= self.cfg.max_steps:
+                            raise _too_wide(e.loc, self.cfg.max_steps)
                         for v in range(lo, hi + 1):
                             yield v, ch2 + [v]
             case BinOp("&&", lhs, rhs):
@@ -390,8 +387,6 @@ class _Machine:
                     if self.on_array_access is not None:
                         self.on_array_access(array, i)
                     yield arr[i], ch
-            case _:
-                yield self.eval_det(e, state), choices
 
     # -- statement execution ----------------------------------------------
 
@@ -552,6 +547,11 @@ class _Machine:
         raise OracleError(f"cannot execute {type(s).__name__}")
 
 
+def _too_wide(loc: int, max_steps: int) -> BudgetExceeded:
+    # A choice with nothing after it costs no step: refuse one wider than the budget.
+    return BudgetExceeded(f"choice at location {loc} has more than {max_steps} values")
+
+
 class _DivByZero(Exception):
     def __init__(self, loc: int):
         self.loc = loc
@@ -618,8 +618,8 @@ def differential_check(
     When ``cfg.array_size_override`` is set, the override is applied to the
     original first and the transformation re-derived from the scaled program,
     keeping the pair consistent. Whenever the transformation is derived here,
-    one :class:`ProgramFacts` about the original serves both it and the
-    precision classification.
+    one :func:`analyze_program` build about the original serves both it and
+    the precision classification.
     """
     from .precision import classify_program
     from .transform import transform_with_info
@@ -631,7 +631,7 @@ def differential_check(
         transformed = None
         cfg = OracleConfig(cfg.value_domain, cfg.max_steps, None)
     if transformed is None:
-        facts = ProgramFacts(original)
+        facts = analyze_program(original)
         transformed = transform_with_info(original, facts).program
     return DifferentialResult(
         orig_verdict=enumerate_runs(original, cfg),

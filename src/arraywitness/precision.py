@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .analysis import ProgramFacts, _read_var
+from .analysis import ProgramFacts, _read_var, analyze_program
 from .astnodes import (
     ArrayAccess,
     Assert,
@@ -34,7 +34,6 @@ from .astnodes import (
     Program,
     Read,
     Var,
-    asserts_of,
     walk,
 )
 
@@ -173,8 +172,8 @@ def _absorb(facts: ProgramFacts, scope, guards_of, roots=(), scalars=(), arrays=
 def _closure(facts: ProgramFacts, assertion_loc: int):
     """The assertion's loop s_a and its v_imp, e_imp and s_def as
     :func:`dependence_closure` describes them, s_def in program order."""
-    assertion = facts.nodes[assertion_loc]
-    if not isinstance(assertion, Assert):
+    assertion = facts.asserts.get(assertion_loc)
+    if assertion is None:
         raise ValueError(f"location {assertion_loc} is not an assertion")
     if not facts.loops[id(assertion)]:
         raise AssertionOutsideLoop(
@@ -208,10 +207,10 @@ def dependence_closure(p: Program, assertion_loc: int) -> DependenceClosure:
     v_imp/e_imp are the data and control dependences within the enclosing
     loop; s_def collects every loop (anywhere) whose body defines a name the
     assertion transitively depends on. All three sets over-approximate. The
-    cost is one :class:`ProgramFacts` pass plus work proportional to the
+    cost is one :func:`analyze_program` scan plus work proportional to the
     closure: the assignments to the names it reaches and their expressions.
     """
-    _, v_imp, e_imp, s_def = _closure(ProgramFacts(p), assertion_loc)
+    _, v_imp, e_imp, s_def = _closure(analyze_program(p), assertion_loc)
     return DependenceClosure(
         v_imp=v_imp,
         e_imp={acc.loc for acc in e_imp},
@@ -290,7 +289,7 @@ def classify(
     computed here. Given the facts, the cost is proportional to the
     assertion's dependence closure and the loops it involves, not to ``p``.
     """
-    facts = facts or ProgramFacts(p)
+    facts = facts or analyze_program(p)
     s_a, v_imp, e_imp, s_def = _closure(facts, assertion_loc)
     summaries = facts.summaries
     rel_arrays = {acc.array for acc in e_imp}
@@ -403,22 +402,22 @@ def classify_all(p: Program, facts: ProgramFacts | None = None) -> list[Precisio
     """One verdict per assertion, in program order. Assertions outside loops
     get an imprecise verdict (no precision claim is made for them).
 
-    The facts are computed once (or taken from the caller) and shared by
-    every :func:`classify` call, so the cost is one pass over ``p`` plus, per
+    The facts are built once (or taken from the caller) and shared by every
+    :func:`classify` call, so the cost is one scan of ``p`` plus, per
     assertion, work proportional to its dependence closure.
     """
-    facts = facts or ProgramFacts(p)
+    facts = facts or analyze_program(p)
     verdicts = []
-    for a in asserts_of(p):
+    for loc in facts.asserts:
         try:
-            verdicts.append(classify(p, a.loc, facts))
+            verdicts.append(classify(p, loc, facts))
         except AssertionOutsideLoop:
             verdicts.append(
                 PrecisionVerdict(
-                    assertion_loc=a.loc,
+                    assertion_loc=loc,
                     precise=False,
                     violated_rules=[
-                        RuleViolation("l1", a.loc, "assertion is not inside a loop")
+                        RuleViolation("l1", loc, "assertion is not inside a loop")
                     ],
                 )
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import ArrayInfo, BoundKind, LoopSummary, ProgramFacts, _fresh
+from .analysis import ArrayInfo, BoundKind, LoopSummary, ProgramFacts, _fresh, analyze_program
 from .astnodes import (
     ARRAY_INT,
     SCALAR_INT,
@@ -285,7 +285,7 @@ def _overwritten_before_read(rest: list[Stmt], x: str) -> bool:
 def transform_with_info(p: Program, facts: ProgramFacts | None = None) -> TransformResult:
     """Transform ``p``, reusing ``facts`` about it when the caller has them."""
     _check_source_grammar(p)
-    facts = facts or ProgramFacts(p)
+    facts = facts or analyze_program(p)
     arrays, summaries = facts.arrays, facts.summaries
     source = clone(p)  # transformed nodes get renumbered locations
     ctx = TransformContext(

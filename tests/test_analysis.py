@@ -125,10 +125,10 @@ def test_full_access_false_without_arrays():
 
 
 def test_analyze_program_summaries(fig7):
-    arrays, summaries = analyze_program(fig7)
-    assert len(arrays) == 2
-    assert len(summaries) == 2
-    for s in summaries.values():
+    facts = analyze_program(fig7)
+    assert len(facts.arrays) == 2
+    assert len(facts.summaries) == 2
+    for s in facts.summaries.values():
         assert s.bound.kind == BoundKind.KNOWN
         assert not s.full_access
 
@@ -138,6 +138,5 @@ def test_summary_break_flag():
         "int i;\nint a[4];\n"
         "main() { for (i = 0; i < 4; i++) { a[i] = 0; if (i == 2) { break; } } }"
     )
-    _, summaries = analyze_program(p)
-    (s,) = summaries.values()
+    (s,) = analyze_program(p).summaries.values()
     assert s.has_break_or_continue

@@ -139,6 +139,25 @@ def test_oracle_too_many_sequential_choices_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("domain, reason", [
+    ("5:1", "empty domain '5:1'"),
+    ("5", "expected LO:HI, got '5'"),
+    ("0:x", "expected LO:HI, got '0:x'"),
+])
+def test_bad_value_domain_is_a_usage_error(capsys, domain, reason):
+    assert run(["transform", FIG1, "--value-domain", domain]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --value-domain: {reason}\n")
+
+
+def test_oracle_choice_wider_than_the_budget_is_an_error(capsys):
+    status = run(["transform", FIG1, "--oracle", "--array-size", "2",
+                  "--value-domain", "0:99999999999999"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: choice at location ") and err.count("\n") == 1
+
+
 def test_oracle_requires_array_size(capsys):
     assert run(["transform", FIG1, "--oracle"]) == 2
 

@@ -88,6 +88,19 @@ def test_budget_exceeded():
         enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=50))
 
 
+def test_choice_wider_than_the_budget_is_refused():
+    # A choice with nothing after it costs no step, so only its width can
+    # stop an enumeration of 100,001 values under a 1,000-step budget.
+    p = parse("int k;\nmain() { k = input(); }")
+    cfg = OracleConfig(value_domain=(0, 100_000), max_steps=1_000)
+    with pytest.raises(BudgetExceeded, match="more than 1000 values"):
+        enumerate_runs(p, cfg)
+    ranged = parse("int k;\nmain() { k = nd(0, 1000); }")
+    with pytest.raises(BudgetExceeded):
+        enumerate_runs(ranged, cfg)
+    assert enumerate_runs(p, OracleConfig(value_domain=(0, 999), max_steps=1_000)).safe
+
+
 def test_non_constant_bound_rejected():
     p = parse("int i, n;\nmain() { n = input(); for (i = 0; i < n; i++) { n = n; } }")
     with pytest.raises(NonConstantBound):
@@ -245,14 +258,15 @@ def test_differential_with_size_override(fig1):
 def test_size_override_analyzes_the_scaled_program_once(fig1, monkeypatch):
     from arraywitness import analysis
 
+    # Every facts build, whichever module asks for it, runs the one scan.
     calls = []
-    original = analysis.analyze_program
+    original = analysis._scan
 
-    def counting(p):
-        calls.append(p)
-        return original(p)
+    def counting(root, facts):
+        calls.append(root)
+        return original(root, facts)
 
-    monkeypatch.setattr(analysis, "analyze_program", counting)
+    monkeypatch.setattr(analysis, "_scan", counting)
     cfg = OracleConfig(value_domain=(0, 1), array_size_override=2)
     diff = differential_check(fig1, cfg=cfg)
     assert diff.sound and diff.precise is True

@@ -143,9 +143,17 @@ def test_verdict_json_shape(fig7):
         assert set(v) == {"rule", "location", "note"}
 
 
-def test_classify_rejects_non_assert_location(fig1):
-    with pytest.raises(ValueError):
-        classify(fig1, fig1.body.stmts[0].loc)
+@pytest.mark.parametrize("where", ["statement", "expression", "unknown"])
+def test_classify_rejects_non_assert_location(fig1, where):
+    loc = {
+        "statement": fig1.body.stmts[0].loc,
+        "expression": fig1.body.stmts[0].init.loc,
+        "unknown": 99999,
+    }[where]
+    with pytest.raises(ValueError, match="not an assertion"):
+        classify(fig1, loc)
+    with pytest.raises(ValueError, match="not an assertion"):
+        dependence_closure(fig1, loc)
 
 
 def _wide_program(k: int, n: int = 100000):
@@ -224,13 +232,29 @@ def test_analysis_work_per_node_is_flat_in_nesting_depth(monkeypatch):
         p = _ladder(d)
         nodes = sum(1 for _ in astnodes.walk(p))
         visits[0] = 0
-        _, summaries = analyze_program(p)
-        assert len(summaries) == d
+        assert len(analyze_program(p).summaries) == d
         return visits[0] / nodes
 
     base = per_node(2)
     for d in (4, 8, 16):
         assert per_node(d) <= 1.25 * base, d
+
+
+@pytest.mark.parametrize(
+    "program", [_ladder(d) for d in (1, 4, 8)] + [_wide_program(k) for k in (1, 8)],
+    ids=["ladder-1", "ladder-4", "ladder-8", "wide-1", "wide-8"],
+)
+def test_analysis_expands_each_inner_node_at_most_once(monkeypatch, program):
+    # One scan fills the loop summaries and every per-statement table; a
+    # second walk of the program would expand each inner node again.
+    nodes = list(astnodes.walk(program))
+    inner = sum(1 for n in nodes if type(n) in astnodes._CHILDREN)
+    stmts = [n for n in nodes if type(n) in (astnodes.Assign, astnodes.Assert, astnodes.For)]
+    visits = _count_expansions(monkeypatch)
+    facts = analyze_program(program)
+    assert visits[0] <= inner
+    assert sorted(facts.order, key=facts.order.get) == [id(n) for n in stmts]
+    assert list(facts.asserts.values()) == [n for n in stmts if type(n) is astnodes.Assert]
 
 
 def _programs():
