@@ -8,8 +8,6 @@ differentially validates both claims with an exhaustive bounded interpreter.
 
 from .analysis import (
     ArrayInfo,
-    BoundKind,
-    IndexRange,
     LoopSummary,
     ProgramFacts,
     analyze_program,
@@ -43,10 +41,8 @@ from .transform import TransformResult, transform_program, transform_with_info
 
 __all__ = [
     "ArrayInfo",
-    "BoundKind",
     "ConformanceReport",
     "EmitConfig",
-    "IndexRange",
     "LoopSummary",
     "OracleConfig",
     "ParseError",

@@ -12,7 +12,6 @@ it accesses; an access under a guard may still skip some of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator
 
 from .astnodes import (
@@ -47,29 +46,12 @@ class ArrayInfo:
         return self.size - 1
 
 
-class BoundKind(Enum):
-    KNOWN = "known"
-    EMPTY = "empty"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class IndexRange:
-    kind: BoundKind
-    lo: int | None = None
-    hi: int | None = None
-
-
 @dataclass
 class LoopSummary:
-    loop_loc: int
-    iterator: str
     full_access: bool
     defs: set[str]
-    bound: IndexRange
+    bound: range | None  # see loop_bound
     accessed_arrays: list[str] = field(default_factory=list)
-    step_const: int | None = None  # constant increment, when the step is i + c
-    init_const: int | None = None
     has_break_or_continue: bool = False
 
 
@@ -97,41 +79,23 @@ def collect_arrays(p: Program) -> list[ArrayInfo]:
     return infos
 
 
-def _step_const(loop: For) -> int | None:
-    match loop.step:
-        case BinOp("+", Read(Var(name)), Const(c)) if name == loop.iterator:
-            return c
-    return None
+def loop_bound(loop: For) -> range | None:
+    """The iterator's values for a constant header, else None.
 
-
-def _init_const(loop: For) -> int | None:
-    match loop.init:
-        case Const(c):
-            return c
-    return None
-
-
-def loop_bound(loop: For) -> IndexRange:
-    """Range of iterator values for constant-shaped headers.
-
-    ``for(i=c1; i<c2; i+=c3)`` (or ``<=``) yields [c1, largest reached value];
-    a zero-trip header yields Empty; anything else (non-constant bounds,
-    non-positive or non-constant step, other comparisons) is Unknown.
+    ``for(i=c1; i<c2; i+=c3)`` with ``c3 >= 1`` yields ``range(c1, c2, c3)``,
+    and ``i<=c2`` yields ``range(c1, c2 + 1, c3)``; a zero-trip header yields
+    an empty range. Anything else (non-constant bounds, non-positive or
+    non-constant step, other comparisons) yields None.
     """
-    c1 = _init_const(loop)
-    c3 = _step_const(loop)
-    if c1 is None or c3 is None or c3 < 1:
-        return IndexRange(BoundKind.UNKNOWN)
-    match loop.test:
-        case BinOp("<", Read(Var(name)), Const(c2)) if name == loop.iterator:
-            limit = c2 - 1
-        case BinOp("<=", Read(Var(name)), Const(c2)) if name == loop.iterator:
-            limit = c2
-        case _:
-            return IndexRange(BoundKind.UNKNOWN)
-    if c1 > limit:
-        return IndexRange(BoundKind.EMPTY)
-    return IndexRange(BoundKind.KNOWN, c1, c1 + ((limit - c1) // c3) * c3)
+    it = loop.iterator
+    match loop.init, loop.test, loop.step:
+        case (
+            Const(c1),
+            BinOp("<" | "<=" as op, Read(Var(n)), Const(c2)),
+            BinOp("+", Read(Var(m)), Const(c3)),
+        ) if n == it and m == it and c3 >= 1:
+            return range(c1, c2 + (op == "<="), c3)
+    return None
 
 
 def _read_var(e) -> str | None:
@@ -250,16 +214,17 @@ def _scan(root, facts: ProgramFacts) -> list[_Body]:
     return loops
 
 
-def _summarize(root, facts: ProgramFacts) -> Iterator[LoopSummary]:
-    """A summary per loop under ``root``, in pre-order, over ``facts.arrays``."""
+def _summarize(root, facts: ProgramFacts) -> Iterator[tuple[For, LoopSummary]]:
+    """Each loop under ``root`` with its summary over ``facts.arrays``, in
+    pre-order."""
     sizes = {a.name: a.size for a in facts.arrays}
     for rec in _scan(root, facts):
         loop, it = rec.loop, rec.loop.iterator
         accessed = {a for a, _ in rec.accesses}
         bound = loop_bound(loop)
         full = (  # full_array_access's list; a nested loop over `it` puts it in varying
-            bound.kind == BoundKind.KNOWN and bound.lo == 0 and _step_const(loop) == 1
-            and bool(accessed) and all(sizes.get(a) == bound.hi + 1 for a in accessed)
+            bound is not None and bound.start == 0 and bound.step == 1
+            and bool(accessed) and all(sizes.get(a) == len(bound) for a in accessed)
             and {index for _, index in rec.accesses} == {it}
             and not (rec.owns_jump or rec.nested)
             and it not in rec.const and it not in rec.varying
@@ -271,10 +236,10 @@ def _summarize(root, facts: ProgramFacts) -> Iterator[LoopSummary]:
             # it dominates every use within an iteration.
             if not _const_def_dominates(loop.body, name):
                 defs.add(name)
-        yield LoopSummary(
-            loop.loc, it, full, defs, bound,
+        yield loop, LoopSummary(
+            full, defs, bound,
             [a.name for a in facts.arrays if a.name in accessed],
-            _step_const(loop), _init_const(loop), rec.owns_jump,
+            rec.owns_jump,
         )
 
 
@@ -293,7 +258,7 @@ def full_array_access(loop: For, arrays: list[ArrayInfo]) -> bool:
     iterator; no break/continue or iterator assignment in the body; no nested
     loop over the same arrays. Any miss returns False.
     """
-    return next(_summarize(loop, ProgramFacts(arrays))).full_access
+    return next(_summarize(loop, ProgramFacts(arrays)))[1].full_access
 
 
 def _const_def_dominates(body, name: str) -> bool:
@@ -323,12 +288,12 @@ def loop_defs(loop: For) -> set[str]:
     the iterator is never included; an array is included when some write uses
     an index not syntactically equal to the iterator.
     """
-    return next(_summarize(loop, ProgramFacts([]))).defs
+    return next(_summarize(loop, ProgramFacts([])))[1].defs
 
 
 def analyze_program(p: Program) -> ProgramFacts:
     """The array inventory, a summary for every loop and the per-statement
     tables of ``p``, from one scan of the body."""
     facts = ProgramFacts(collect_arrays(p))
-    facts.summaries = {s.loop_loc: s for s in _summarize(p.body, facts)}
+    facts.summaries = {loop.loc: s for loop, s in _summarize(p.body, facts)}
     return facts

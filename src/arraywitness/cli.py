@@ -87,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="differentially check original vs. transformed by exhaustive "
         "enumeration (requires --array-size)",
     )
-    t.add_argument("--array-size", type=int, help="override every array size")
+    t.add_argument(
+        "--array-size", type=int, help="override every array size for --oracle"
+    )
     t.add_argument(
         "--value-domain",
         type=_parse_domain,
@@ -115,6 +117,9 @@ def run(argv: list[str] | None = None) -> int:
 
     if args.oracle and args.array_size is None:
         print("error: --oracle requires --array-size", file=sys.stderr)
+        return 2
+    if args.array_size is not None and not args.oracle:
+        print("error: --array-size requires --oracle", file=sys.stderr)
         return 2
     if args.array_size is not None and args.array_size < 1:
         print("error: --array-size must be positive", file=sys.stderr)
@@ -157,9 +162,7 @@ def run(argv: list[str] | None = None) -> int:
     verdicts = classify_all(program, facts)
     if args.report:
         try:
-            _atomic_write(
-                args.report, emit_report(result.arrays, result.summaries, verdicts)
-            )
+            _atomic_write(args.report, emit_report(facts, verdicts))
         except OSError as e:
             return _io_error("write", args.report, e)
     if args.check_precision:

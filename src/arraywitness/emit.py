@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .analysis import ArrayInfo, BoundKind, LoopSummary
+from .analysis import ProgramFacts
 from .astnodes import ARRAY_INT, Input, Nd, NdRange, Program, walk
 from .grammar import validate_output_grammar
 from .precision import RULE_IDS, PrecisionVerdict
@@ -149,12 +149,13 @@ def emit_verifiable(p: Program, cfg: EmitConfig | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-_ND_NAMES = ("nondet_int\\(\\)", "__VERIFIER_nondet_int\\(\\)", "__stub_nd\\(\\)")
+# One alternation of the dialects' nd calls, one of their assume calls.
+_ND_CALLS, _ASSUMES = ("|".join(map(re.escape, c)) for c in zip(*_STYLE_CALLS.values()))
+_ND_CALL_RE = re.compile(_ND_CALLS)
 _TEMP_RE = re.compile(
-    r"^\s*int (__nd_\d+) = nd\(\); "
-    r"(?:__CPROVER_assume|__VERIFIER_assume|__stub_assume)"
-    r"\(\1 >= (.+) && \1 <= (.+)\);$"
+    rf"^\s*int (__nd_\d+) = nd\(\); (?:{_ASSUMES})\(\1 >= (.+) && \1 <= (.+)\);$"
 )
+_TEMP_NAME_RE = re.compile(r"\b__nd_\d+\b")
 _GUARDED_RE = re.compile(
     r"^(\s*)if \((.*)\) \{ (\w+) = (.*); \} else \{ \(void\)\((.*)\); \}$"
 )
@@ -173,7 +174,7 @@ def strip_scaffolding(text: str) -> str:
     except ValueError:
         raise EmitError("emitted markers not found") from None
     body = text[start:end]
-    body = re.sub("|".join(_ND_NAMES), "nd()", body)
+    body = _ND_CALL_RE.sub("nd()", body)
 
     temps: dict[str, str] = {}
     out_lines: list[str] = []
@@ -186,10 +187,7 @@ def strip_scaffolding(text: str) -> str:
         if g:
             indent, cond, name, value, discard = g.groups()
             line = f"{indent}({cond}) ? {name} = {value} : {discard};"
-        for temp, call in temps.items():
-            if temp in line:
-                line = line.replace(temp, call)
-        out_lines.append(line)
+        out_lines.append(_TEMP_NAME_RE.sub(lambda t: temps.get(t[0], t[0]), line))
     stripped = "\n".join(out_lines)
     stripped = stripped.replace("int main(void)", "main()")
     return stripped.strip() + "\n"
@@ -270,18 +268,15 @@ REPORT_SCHEMA = {
 }
 
 
-def _bound_dict(summary: LoopSummary) -> dict:
-    b = summary.bound
-    if b.kind == BoundKind.KNOWN:
-        return {"kind": "known", "lo": b.lo, "hi": b.hi}
-    return {"kind": b.kind.value}
+def _bound_dict(bound: range | None) -> dict:
+    if bound is None:
+        return {"kind": "unknown"}
+    if not bound:
+        return {"kind": "empty"}
+    return {"kind": "known", "lo": bound[0], "hi": bound[-1]}
 
 
-def emit_report(
-    arrays: list[ArrayInfo],
-    summaries: dict[int, LoopSummary],
-    verdicts: list[PrecisionVerdict],
-) -> str:
+def emit_report(facts: ProgramFacts, verdicts: list[PrecisionVerdict]) -> str:
     """Deterministic JSON report over the analysis and classification facts."""
     doc = {
         "arrays": [
@@ -291,16 +286,16 @@ def emit_report(
                 "witness_var": a.witness_var,
                 "witness_idx": a.witness_idx,
             }
-            for a in arrays
+            for a in facts.arrays
         ],
         "loops": [
             {
                 "location": loc,
                 "full_access": s.full_access,
                 "defs": sorted(s.defs),
-                "bound": _bound_dict(s),
+                "bound": _bound_dict(s.bound),
             }
-            for loc, s in sorted(summaries.items())
+            for loc, s in sorted(facts.summaries.items())
         ],
         "assertions": [
             v.to_json_dict() for v in sorted(verdicts, key=lambda v: v.assertion_loc)

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .analysis import ARRAY_INT, BoundKind, analyze_program, loop_bound
+from .analysis import ARRAY_INT, analyze_program, loop_bound
 from .astnodes import (
     ArrayAccess,
     Assert,
@@ -194,7 +194,7 @@ def scale_arrays(p: Program, new_size: int) -> Program:
 
 def _check_constant_bounds(p: Program) -> None:
     for node in walk(p.body):
-        if isinstance(node, For) and loop_bound(node).kind == BoundKind.UNKNOWN:
+        if isinstance(node, For) and loop_bound(node) is None:
             raise NonConstantBound(
                 f"loop at location {node.loc} has a non-constant bound"
             )

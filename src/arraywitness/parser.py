@@ -172,7 +172,10 @@ class _Parser:
         self.expect("int")
         decls = []
         while True:
+            tok = self.peek()
             name = self.expect_ident()
+            if name.startswith("__"):  # C11 7.1.3; the emitter's names live there
+                raise ParseError(f"identifier {name!r} is reserved", tok.line, tok.col)
             if self.accept("["):
                 size_tok = self.peek()
                 if size_tok.kind != "num":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import ArrayInfo, BoundKind, LoopSummary, ProgramFacts, _fresh, analyze_program
+from .analysis import ArrayInfo, LoopSummary, ProgramFacts, _fresh, analyze_program
 from .astnodes import (
     ARRAY_INT,
     SCALAR_INT,
@@ -58,12 +58,7 @@ class TransformContext:
 @dataclass
 class TransformResult:
     program: Program
-    arrays: list[ArrayInfo]
-    summaries: dict[int, LoopSummary]
-
-    @property
-    def witness_indices(self) -> list[str]:
-        return [a.witness_idx for a in self.arrays]
+    witness_indices: list[str]
 
 
 def _read(name: str):
@@ -99,13 +94,12 @@ def _defs_in_order(summary: LoopSummary, ctx: TransformContext) -> list[str]:
 def _iterator_nd_bound(summary: LoopSummary, ctx: TransformContext):
     """nd range for the iterator of a non-full-access loop."""
     bound = summary.bound
-    if bound.kind == BoundKind.KNOWN:
-        return NdRange(Const(bound.lo), Const(bound.hi))
-    if bound.kind == BoundKind.EMPTY:
+    if bound:
+        return NdRange(Const(bound[0]), Const(bound[-1]))
+    if bound is not None:
         # Unsatisfiable range: the guarded body contributes no behavior,
         # matching the zero-trip original.
-        lo = summary.init_const if summary.init_const is not None else 0
-        return NdRange(Const(lo), Const(lo - 1))
+        return NdRange(Const(1), Const(0))
     if len(summary.accessed_arrays) == 1:
         info = ctx.arrays[summary.accessed_arrays[0]]
         return NdRange(Const(0), Const(info.lastof))
@@ -155,18 +149,14 @@ def transform_loop(s: For, ctx: TransformContext) -> list[Stmt]:
         return pre + iter_init + body + post
 
     inner: list[Stmt] = body
-    if (
-        summary.bound.kind == BoundKind.KNOWN
-        and summary.step_const is not None
-        and summary.step_const > 1
-    ):
+    bound = summary.bound
+    if bound and bound.step > 1:
         # Non-unit monotone increment: only iterator values congruent to the
         # start value modulo the step occur in the original loop.
-        c3 = summary.step_const
         aligned = BinOp(
             "==",
-            BinOp("%", _read(s.iterator), Const(c3)),
-            Const(summary.bound.lo % c3),
+            BinOp("%", _read(s.iterator), Const(bound.step)),
+            Const(bound.start % bound.step),
         )
         inner = [If(aligned, Block(body))]
     guarded = Block(
@@ -286,11 +276,11 @@ def transform_with_info(p: Program, facts: ProgramFacts | None = None) -> Transf
     """Transform ``p``, reusing ``facts`` about it when the caller has them."""
     _check_source_grammar(p)
     facts = facts or analyze_program(p)
-    arrays, summaries = facts.arrays, facts.summaries
+    arrays = facts.arrays
     source = clone(p)  # transformed nodes get renumbered locations
     ctx = TransformContext(
         arrays={a.name: a for a in arrays},
-        summaries=summaries,
+        summaries=facts.summaries,
         decl_order={d.name: n for n, d in enumerate(p.decls)},
         aux_decls=[],
         taken_names={d.name for d in p.decls}
@@ -308,7 +298,7 @@ def transform_with_info(p: Program, facts: ProgramFacts | None = None) -> Transf
     decls.extend(d for d in source.decls if d.kind != ARRAY_INT)
     decls.extend(ctx.aux_decls)
     out = assign_locs(Program(decls, Block(body)))
-    return TransformResult(program=out, arrays=arrays, summaries=summaries)
+    return TransformResult(out, [a.witness_idx for a in arrays])
 
 
 def transform_program(p: Program) -> Program:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import pytest
 
 from arraywitness import (
-    BoundKind,
     EmitConfig,
     OracleConfig,
+    analyze_program,
     classify_program,
     differential_check,
     emit_verifiable,
@@ -168,13 +168,9 @@ def test_criterion_6_analysis_unit_facts():
     facts = [
         ArrayInfo("a", 100000, "x_a", "i_a").lastof == 99999,
         loop_defs(loops_of(fig1)[0]) == {"k"},
-        all(
-            loop_bound(l).kind == BoundKind.KNOWN
-            and (loop_bound(l).lo, loop_bound(l).hi) == (0, 49999)
-            for l in loops_of(fig7)
-        ),
-        all(s.full_access for s in transform_with_info(fig1).summaries.values()),
-        not any(s.full_access for s in transform_with_info(fig7).summaries.values()),
+        all(loop_bound(l) == range(0, 50000) for l in loops_of(fig7)),
+        all(s.full_access for s in analyze_program(fig1).summaries.values()),
+        not any(s.full_access for s in analyze_program(fig7).summaries.values()),
         classify_program(fig1) is True,
         classify_program(fig7) is False,
     ]

@@ -1,5 +1,4 @@
 from arraywitness import (
-    BoundKind,
     analyze_program,
     collect_arrays,
     full_array_access,
@@ -66,26 +65,22 @@ def test_const_rhs_after_use_still_counts():
 
 def test_fig7_loop_bounds(fig7):
     for loop in loops_of(fig7):
-        b = loop_bound(loop)
-        assert b.kind == BoundKind.KNOWN
-        assert (b.lo, b.hi) == (0, 49999)
+        assert loop_bound(loop) == range(0, 50000)
 
 
 def test_loop_bound_non_unit_step():
     p = parse("int i;\nmain() { for (i = 1; i < 10; i += 3) { i = i; } }")
-    b = loop_bound(loops_of(p)[0])
-    assert b.kind == BoundKind.KNOWN
-    assert (b.lo, b.hi) == (1, 7)
+    assert loop_bound(loops_of(p)[0]) == range(1, 8, 3)  # 1, 4, 7
 
 
 def test_loop_bound_empty():
     p = parse("int i;\nmain() { for (i = 5; i < 2; i++) { i = i; } }")
-    assert loop_bound(loops_of(p)[0]).kind == BoundKind.EMPTY
+    assert loop_bound(loops_of(p)[0]) == range(0)
 
 
 def test_loop_bound_unknown():
     p = parse("int i, n;\nmain() { for (i = 0; i < n; i++) { i = i; } }")
-    assert loop_bound(loops_of(p)[0]).kind == BoundKind.UNKNOWN
+    assert loop_bound(loops_of(p)[0]) is None
 
 
 def test_fig1_loops_full_access(fig1):
@@ -129,7 +124,7 @@ def test_analyze_program_summaries(fig7):
     assert len(facts.arrays) == 2
     assert len(facts.summaries) == 2
     for s in facts.summaries.values():
-        assert s.bound.kind == BoundKind.KNOWN
+        assert s.bound == range(0, 50000)
         assert not s.full_access
 
 

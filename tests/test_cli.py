@@ -158,6 +158,24 @@ def test_oracle_choice_wider_than_the_budget_is_an_error(capsys):
     assert err.startswith("error: choice at location ") and err.count("\n") == 1
 
 
+def test_reserved_identifier_is_a_parse_error(tmp_path, capsys):
+    # The harness names its temporaries __nd_0, __nd_1, ...: a program variable
+    # of that name would be shadowed by one.
+    src = tmp_path / "reserved.c"
+    src.write_text("int i, __nd_0;\nint a[4];\nmain() { __nd_0 = 1;\n"
+                   "for (i = 0; i < 3; i++) { a[i] = __nd_0; } }\n")
+    assert run(["transform", str(src), "-o", str(tmp_path / "out.c")]) == 2
+    assert capsys.readouterr().err == "error: 1:8: identifier '__nd_0' is reserved\n"
+    assert not (tmp_path / "out.c").exists()
+
+
+def test_array_size_requires_oracle(tmp_path, capsys):
+    out = tmp_path / "out.c"
+    assert run(["transform", FIG1, "-o", str(out), "--array-size", "4"]) == 2
+    assert capsys.readouterr().err == "error: --array-size requires --oracle\n"
+    assert not out.exists()
+
+
 def test_oracle_requires_array_size(capsys):
     assert run(["transform", FIG1, "--oracle"]) == 2
 

@@ -7,11 +7,13 @@ import pytest
 
 from arraywitness import (
     EmitConfig,
+    analyze_program,
     classify_all,
     emit_report,
     emit_verifiable,
     generate_program,
     parse,
+    print_program,
     strip_scaffolding,
     transform_with_info,
 )
@@ -20,18 +22,37 @@ from arraywitness.emit import EmitError, ND_STYLES, REPORT_SCHEMA
 from conftest import load_fixture
 
 
+# Six loops that are not full-access hoist twelve nd(lo, hi) temporaries, so
+# __nd_1 is a prefix of __nd_10. Zero-trip loops draw their iterator from an
+# empty range.
+_SIX_LOOPS = "int i, x;\nint a[4];\nmain() {\n" + (
+    "  for (i = 0; i < 3; i++) { a[i] = x; }\n" * 6) + "}\n"
+_EMPTY_LOOPS = (
+    "int i, x;\nint a[4];\nmain() {\n"
+    "  for (i = 0; i < 0; i++) { a[i] = x; }\n"
+    "  for (i = 2; i < 1; i++) { x = a[i]; }\n}\n"
+)
+
+
 @pytest.mark.parametrize("style", ND_STYLES)
-@pytest.mark.parametrize("name", ["fig1.c", "fig5.c", "fig7.c", "generated"])
+@pytest.mark.parametrize(
+    "name", ["fig1.c", "fig5.c", "fig7.c", "generated", "six-loops", "empty-loops"]
+)
 def test_strip_round_trip(style, name):
     # Generated programs 0-199 bring chained and guarded assignments,
     # single-trip loops, nd(lo, hi) hoisted inside nested blocks, and
     # conditionals nested in the then-branch of an if/else.
     if name == "generated":
         programs = [generate_program(seed) for seed in range(200)]
+    elif name == "six-loops":
+        programs = [parse(_SIX_LOOPS)]
+    elif name == "empty-loops":
+        programs = [parse(_EMPTY_LOOPS)]
     else:
         programs = [load_fixture(name)]
     for program in programs:
         result = transform_with_info(program)
+        assert parse(print_program(result.program)) == result.program
         text = emit_verifiable(result.program, EmitConfig(style))
         assert parse(strip_scaffolding(text)) == result.program
 
@@ -73,17 +94,12 @@ def test_stub_style_compiles_and_runs(tmp_path, fig1_small):
 
 
 def test_report_validates_against_schema(fig7):
-    result = transform_with_info(fig7)
-    fig7_src = load_fixture("fig7.c")
-    doc = json.loads(
-        emit_report(result.arrays, result.summaries, classify_all(fig7_src))
-    )
+    doc = json.loads(emit_report(analyze_program(fig7), classify_all(fig7)))
     jsonschema.validate(doc, REPORT_SCHEMA)
 
 
 def test_report_content(fig1):
-    result = transform_with_info(fig1)
-    doc = json.loads(emit_report(result.arrays, result.summaries, classify_all(fig1)))
+    doc = json.loads(emit_report(analyze_program(fig1), classify_all(fig1)))
     assert [a["name"] for a in doc["arrays"]] == ["a_p", "a_q"]
     assert all(a["size"] == 100000 for a in doc["arrays"])
     first_loop = doc["loops"][0]
@@ -95,15 +111,13 @@ def test_report_content(fig1):
 
 
 def test_report_is_deterministic(fig7):
-    result = transform_with_info(fig7)
     verdicts = classify_all(fig7)
-    a = emit_report(result.arrays, result.summaries, verdicts)
-    b = emit_report(result.arrays, result.summaries, verdicts)
+    a = emit_report(analyze_program(fig7), verdicts)
+    b = emit_report(analyze_program(fig7), verdicts)
     assert a == b
 
 
 def test_report_for_program_without_arrays():
     p = parse("int x;\nmain() { x = 1; }")
-    result = transform_with_info(p)
-    doc = json.loads(emit_report(result.arrays, result.summaries, classify_all(p)))
+    doc = json.loads(emit_report(analyze_program(p), classify_all(p)))
     assert doc == {"arrays": [], "loops": [], "assertions": []}

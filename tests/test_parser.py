@@ -92,6 +92,15 @@ def test_unknown_name_rejected():
         parse("int i;\nmain() { j = 0; }")
 
 
+@pytest.mark.parametrize("decls", ["int i, __nd_0;", "int __stub_cursor[4];",
+                                   "unsigned int __CPROVER_x;"])
+def test_reserved_identifier_rejected(decls):
+    # Names beginning with "__" belong to the implementation (C11 7.1.3); the
+    # emitted harness declares its temporaries and helpers there.
+    with pytest.raises(ParseError, match=r"^2:\d+: identifier '__\w+' is reserved$"):
+        parse(f"int x;\n{decls}\nmain() {{ x = 0; }}")
+
+
 def test_syntax_error_has_position():
     with pytest.raises(ParseError, match=r"\d+:\d+"):
         parse("int i;\nmain() { i = ; }")

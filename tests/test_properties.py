@@ -10,6 +10,7 @@ from arraywitness import (
     generate_program,
     parse,
     print_program,
+    transform_program,
     transform_with_info,
     validate_output_grammar,
 )
@@ -51,6 +52,8 @@ def test_generator_is_deterministic(seed):
 def test_print_parse_round_trip(seed):
     p = generate_program(seed)
     assert parse(print_program(p)) == p
+    t = transform_program(p)
+    assert parse(print_program(t)) == t
 
 
 @given(seeds)
@@ -111,7 +114,7 @@ def test_full_access_is_a_dynamic_under_approximation(seed):
     full = [l for l in loops_of(p) if full_array_access(l, arrays)]
     cfg = OracleConfig(value_domain=(0, 1), max_steps=200_000)
     for loop in full:
-        sizes["probe"] = loop_bound(loop).hi + 1
+        sizes["probe"] = loop_bound(loop)[-1] + 1
         probe = Assign(ArrayAccess("probe", Read(Var(loop.iterator))), Const(0))
         probed = For(loop.iterator, loop.init, loop.test, loop.step,
                      Block([probe, loop.body]))

@@ -138,7 +138,7 @@ def test_zero_trip_loop_gets_empty_range():
         if isinstance(n, NdRange)
         if n.lo.value > n.hi.value
     ]
-    assert ranges == [(5, 4)]
+    assert ranges == [(1, 0)]  # one empty range, whatever the loop's start
 
 
 def test_non_unit_step_alignment_guard():
