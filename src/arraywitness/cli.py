@@ -13,7 +13,6 @@ import shutil
 import stat
 import subprocess
 import sys
-import tempfile
 
 from .analysis import analyze_program
 from .emit import EmitConfig, EmitError, ND_STYLES, emit_report, emit_verifiable
@@ -32,14 +31,19 @@ def _atomic_write(path: str, content: str) -> None:
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
-        umask = os.umask(0)  # the umask can only be read by setting it
-        os.umask(umask)
-        mode = 0o666 & ~umask
+        mode = None
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}")
+        try:  # the kernel applies the umask to 0o666, as open() does
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as f:
-            os.fchmod(f.fileno(), mode)  # mkstemp creates it as 0600
+            if mode is not None:
+                os.fchmod(fd, mode)
             f.write(content)
         os.replace(tmp, path)
     except BaseException:

@@ -138,10 +138,18 @@ def emit_verifiable(p: Program, cfg: EmitConfig | None = None) -> str:
     lines.extend(_PREAMBLES[cfg.nd_style])
     if any(isinstance(n, Input) for n in walk(p.body)):
         lines.append(_INPUT_DECLS[cfg.nd_style])
+    # A variable named like a function the preamble declares or calls would
+    # redeclare that function, and the C would not compile.
+    functions = set(re.findall(r"\b(\w+)\(", "\n".join(lines)))
     lines.append(_BEGIN)
     for d in p.decls:
         if d.kind == ARRAY_INT:
             raise EmitError("array declaration in output program")
+        if d.name in functions:
+            raise EmitError(
+                f"variable '{d.name}' clashes with {d.name}() in the "
+                f"{cfg.nd_style} preamble; rename it"
+            )
         lines.append(f"int {d.name};")
     lines.append("int main(void)")
     print_stmt(p.body, 0, lines, _CEmitter(cfg.nd_style))

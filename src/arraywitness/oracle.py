@@ -4,6 +4,9 @@ Enumerates every combination of nondeterministic choices (``nd()``,
 ``nd(l,u)`` and ``input()``) depth-first with choice values ascending, so the
 first failure found is the lexicographically smallest witness. Serves as the
 ground truth for the differential soundness and precision checks.
+
+Choice-free expressions, and loops that make no choice and hold no break or
+continue, run as compiled closures that count the steps the work stack would.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ class Trace:
 class Verdict:
     outcome: str  # "safe" | "unsafe"
     witness: Trace | None = None
+    steps: int = 0  # interpreter steps of the whole enumeration
 
     @property
     def safe(self) -> bool:
@@ -145,7 +149,7 @@ def _apply(op: str, a: int, b: int, loc: int) -> int:
         return 1 if _COMPARE[op](a, b) else 0
     if op in _DIVIDE:
         if b == 0:
-            raise _DivByZero(loc)
+            raise _Fault(loc)
         return _DIVIDE[op](a, b)
     raise OracleError(f"unknown operator {op!r}")
 
@@ -190,14 +194,6 @@ def scale_arrays(p: Program, new_size: int) -> Program:
         if isinstance(node, Const) and node.value in mapping:
             node.value = mapping[node.value]
     return q
-
-
-def _check_constant_bounds(p: Program) -> None:
-    for node in walk(p.body):
-        if isinstance(node, For) and loop_bound(node) is None:
-            raise NonConstantBound(
-                f"loop at location {node.loc} has a non-constant bound"
-            )
 
 
 def _initial_state(p: Program) -> dict:
@@ -246,6 +242,11 @@ class _Machine:
         for node in walk(p.body):
             if isinstance(node, _EXPR_TYPES):
                 self._compile(node)
+            elif isinstance(node, For) and loop_bound(node) is None:
+                raise NonConstantBound(
+                    f"loop at location {node.loc} has a non-constant bound"
+                )
+        self._stmts: dict = {}  # loops' closures, compiled when first reached
 
     def _compile(self, e) -> Callable[[dict], int] | None:
         """Return ``e``'s evaluation closure, or None when ``e`` has a choice.
@@ -294,15 +295,83 @@ class _Machine:
             i = idx(state)
             arr = state[array]
             if not 0 <= i < len(arr):
-                raise OracleError(
-                    f"index {i} out of bounds for {array}[{len(arr)}] "
-                    f"at location {loc}"
-                )
+                raise _out_of_bounds(array, i, len(arr), loc)
             if notify is not None:
                 notify(array, i)
             return arr[i]
 
         return read
+
+    def _compile_stmt(self, s) -> Callable[[dict], None] | None:
+        """Return a closure that runs ``s`` in place on a state, or None when
+        ``s`` makes a choice or holds a break or continue. The closure counts
+        the steps the work stack takes inside ``s`` (the caller counts ``s``),
+        counting together steps with nothing observable between them."""
+        det, m, limit = self._det, self, self.cfg.max_steps
+        match s:
+            case Block(stmts):
+                runs = [self._compile_stmt(x) for x in stmts]
+                return None if None in runs else self._ticked(runs)
+            case For(iterator=it, body=body) if (run := self._compile_stmt(body)):
+                # __init__ rejected every header that its range does not describe.
+                r = loop_bound(s)
+                start, stop, step = r.start, r.stop, r.step
+
+                def loop(state):
+                    state[it], ticks = start, 1  # the first test
+                    while state[it] < stop:
+                        m.steps += ticks + 1  # the test and the body
+                        if m.steps > limit:
+                            raise _over_budget(limit)
+                        run(state)
+                        state[it] += step
+                        ticks = 2  # the increment and the next test
+                    m.steps += ticks
+                    if m.steps > limit:
+                        raise _over_budget(limit)
+
+                return loop
+            case If(cond, then, orelse) if (test := det[id(cond)]) is not None:
+                runs = [self._compile_stmt(x) for x in (then, orelse) if x is not None]
+                if None not in runs:
+                    yes, no = self._ticked(runs[:1]), self._ticked(runs[1:])
+                    return lambda state: (yes if test(state) != 0 else no)(state)
+            case Assign(Var(name), value) if (val := det[id(value)]) is not None:
+                return lambda state: operator.setitem(state, name, val(state))
+            case Assign(ArrayAccess(array, index), value):
+                idx, val, notify = det[id(index)], det[id(value)], self.on_array_access
+                if idx is None or val is None:
+                    return None
+
+                def store(state):
+                    i, arr = idx(state), state[array]
+                    if not 0 <= i < len(arr):
+                        raise _out_of_bounds(array, i, len(arr), s.loc)
+                    arr[i] = val(state)
+                    if notify is not None:
+                        notify(array, i)
+
+                return store
+            case Assert(cond) if (test := det[id(cond)]) is not None:
+                def check(state):
+                    if test(state) == 0:
+                        raise _Fault(s.loc)
+
+                return check
+        return None  # a choice, a break or continue, or a target-only statement
+
+    def _ticked(self, runs: list) -> Callable[[dict], None]:
+        """Closure that counts a step before each of ``runs`` and runs it."""
+        m, limit = self, self.cfg.max_steps
+
+        def block(state):
+            for run in runs:
+                m.steps += 1
+                if m.steps > limit:
+                    raise _over_budget(limit)
+                run(state)
+
+        return block
 
     def _scripted(self, choices: list[int], lo: int, hi: int, loc: int):
         pos = len(choices)
@@ -323,7 +392,7 @@ class _Machine:
         if det is not None:
             try:
                 v = det(state)
-            except _DivByZero as d:
+            except _Fault as d:
                 # Carry the choices made before this operand, so replaying
                 # the trace reproduces the division failure.
                 raise _Failure(d.loc, choices, _flatten(state)) from None
@@ -368,7 +437,7 @@ class _Machine:
                     for b, ch2 in self.eval(rhs, state, ch):
                         try:
                             yield _apply(op, a, b, e.loc), ch2
-                        except _DivByZero as d:
+                        except _Fault as d:
                             # Carry this branch's choice list so replaying the
                             # trace reproduces the division failure.
                             raise _Failure(d.loc, ch2, _flatten(state)) from None
@@ -380,10 +449,7 @@ class _Machine:
                 for i, ch in self.eval(index, state, choices):
                     arr = state[array]
                     if not 0 <= i < len(arr):
-                        raise OracleError(
-                            f"index {i} out of bounds for {array}[{len(arr)}] "
-                            f"at location {e.loc}"
-                        )
+                        raise _out_of_bounds(array, i, len(arr), e.loc)
                     if self.on_array_access is not None:
                         self.on_array_access(array, i)
                     yield arr[i], ch
@@ -396,9 +462,7 @@ class _Machine:
         while work:
             self.steps += 1
             if self.steps > self.cfg.max_steps:
-                raise BudgetExceeded(
-                    f"enumeration exceeded {self.cfg.max_steps} steps"
-                )
+                raise _over_budget(self.cfg.max_steps)
             item = work.pop()
             try:
                 if isinstance(item, tuple):
@@ -406,7 +470,7 @@ class _Machine:
                         return
                 elif self._exec_stmt(item, work, state, choices):
                     return
-            except _DivByZero as d:
+            except _Fault as d:
                 raise _Failure(d.loc, choices, _flatten(state)) from None
         if self.on_complete is not None:
             self.on_complete(_flatten(state))
@@ -443,6 +507,8 @@ class _Machine:
         return True
 
     def _exec_stmt(self, s, work, state, choices) -> bool:
+        # This frame recurs once per choice point, so resizing it moves CPython
+        # 3.11's frame-stack chunk faults between programs (CHANGES.md FOUND).
         match s:
             case Block(stmts):
                 work.extend(reversed(stmts))
@@ -527,6 +593,12 @@ class _Machine:
                     self.run(w, _copy_state(state), ch)
                 return True
             case For(iterator=it, init=init):
+                if id(s) not in self._stmts:
+                    self._stmts[id(s)] = self._compile_stmt(s)
+                det = self._stmts[id(s)]
+                if det is not None:  # a choice-free loop runs as one closure
+                    det(state)
+                    return False
                 if self._assign_scalar(it, init, work + [("test", s)], state, choices):
                     return True
                 work.append(("test", s))
@@ -552,9 +624,17 @@ def _too_wide(loc: int, max_steps: int) -> BudgetExceeded:
     return BudgetExceeded(f"choice at location {loc} has more than {max_steps} values")
 
 
-class _DivByZero(Exception):
+class _Fault(Exception):
     def __init__(self, loc: int):
         self.loc = loc
+
+
+def _out_of_bounds(array: str, i: int, size: int, loc: int) -> OracleError:
+    return OracleError(f"index {i} out of bounds for {array}[{size}] at location {loc}")
+
+
+def _over_budget(max_steps: int) -> BudgetExceeded:
+    return BudgetExceeded(f"enumeration exceeded {max_steps} steps")
 
 
 def _drive(p: Program, cfg: OracleConfig | None, **machine_args) -> Verdict:
@@ -563,13 +643,12 @@ def _drive(p: Program, cfg: OracleConfig | None, **machine_args) -> Verdict:
     cfg = cfg or OracleConfig()
     if cfg.array_size_override is not None:
         p = scale_arrays(p, cfg.array_size_override)
-    _check_constant_bounds(p)
     machine = _Machine(p, cfg, **machine_args)
     try:
         machine.run([p.body], _initial_state(p), [])
     except _Failure as f:
-        return Verdict("unsafe", Trace(f.choices, f.loc, f.state))
-    return Verdict("safe")
+        return Verdict("unsafe", Trace(f.choices, f.loc, f.state), machine.steps)
+    return Verdict("safe", steps=machine.steps)
 
 
 def enumerate_runs(

@@ -169,6 +169,27 @@ def test_reserved_identifier_is_a_parse_error(tmp_path, capsys):
     assert not (tmp_path / "out.c").exists()
 
 
+@pytest.mark.parametrize("name, style, value, accepted_by", [
+    ("nondet_int", "cbmc", "1", "stub"),
+    ("exit", "stub", "1", "cbmc"),
+    ("input", "svcomp", "input()", None),  # every dialect declares input()
+])
+def test_variable_named_like_a_preamble_function_is_an_error(
+    tmp_path, capsys, name, style, value, accepted_by
+):
+    # The variable would redeclare a function that the dialect's preamble
+    # declares or calls, and gcc would reject the emitted C.
+    src, out = tmp_path / "clash.c", tmp_path / "out.c"
+    src.write_text(f"int {name}, i;\nmain() {{ i = {value}; assert(i == {name}); }}\n")
+    assert run(["transform", str(src), "-o", str(out), "--nd-style", style]) == 2
+    assert capsys.readouterr().err == (
+        f"error: variable '{name}' clashes with {name}() in the {style} preamble; rename it\n"
+    )
+    assert not out.exists()
+    if accepted_by is not None:
+        assert run(["transform", str(src), "-o", str(out), "--nd-style", accepted_by]) == 0
+
+
 def test_array_size_requires_oracle(tmp_path, capsys):
     out = tmp_path / "out.c"
     assert run(["transform", FIG1, "-o", str(out), "--array-size", "4"]) == 2

@@ -14,6 +14,7 @@ from arraywitness.oracle import (
     BudgetExceeded,
     NonConstantBound,
     OracleError,
+    Trace,
     _c_div,
     _c_mod,
     scale_arrays,
@@ -271,3 +272,93 @@ def test_size_override_analyzes_the_scaled_program_once(fig1, monkeypatch):
     diff = differential_check(fig1, cfg=cfg)
     assert diff.sound and diff.precise is True
     assert len(calls) == 1
+
+
+# Step totals are deterministic, so they pin the oracle's cost exactly. The
+# figures were measured on the work-stack interpreter before choice-free loops
+# ran as compiled closures; the closures must count the same steps.
+
+
+@pytest.mark.parametrize("cells, orig_steps, trans_steps", [(2, 6_109, 4_956), (3, 130_525, 7_433)])
+def test_fig5_step_totals(fig5, cells, orig_steps, trans_steps):
+    original = scale_arrays(fig5, cells)
+    assert enumerate_runs(original, SMALL).steps == orig_steps
+    assert enumerate_runs(transform_program(original), SMALL).steps == trans_steps
+
+
+def test_budget_edge_of_a_choice_free_loop():
+    # Block, k = 0, for; 3 iterations of test, body block, 2 statements and
+    # increment; the final test; the assert.
+    p = parse(
+        "int i, k;\nint a[3];\n"
+        "main() { k = 0; for (i = 0; i < 3; i++) { a[i] = i; k = k + a[i]; } assert(k == 3); }"
+    )
+    assert enumerate_runs(p, SMALL).steps == 20
+    assert enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=20)).safe
+    with pytest.raises(BudgetExceeded):
+        enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=19))
+
+
+# The programs below run choice-free loops; each behaviour they pin is the
+# work-stack interpreter's.
+
+
+@pytest.mark.parametrize("body", ["a[i] = i;", "x = a[i];"])
+def test_out_of_bounds_in_a_choice_free_loop(body):
+    p = parse(f"int i, x;\nint a[2];\nmain() {{ for (i = 0; i < 3; i++) {{ {body} }} }}")
+    stmt = p.body.stmts[0].body.stmts[0]
+    loc = stmt.loc if body.startswith("a") else stmt.value.loc
+    message = rf"^index 2 out of bounds for a\[2\] at location {loc}$"
+    with pytest.raises(OracleError, match=message):
+        enumerate_runs(p, SMALL)
+
+
+def test_division_by_zero_in_a_choice_free_loop_keeps_the_choice():
+    p = parse("int i, x, y;\nmain() { x = input(); for (i = 0; i < 2; i++) { y = 4 / x; } }")
+    division = p.body.stmts[1].body.stmts[0].value
+    v = enumerate_runs(p, SMALL)
+    assert v.witness == Trace([0], division.loc, {"i": 0, "x": 0, "y": 0})
+    assert replay_trace(p, v.witness.nd_choices, SMALL).witness == v.witness
+
+
+def test_failing_assert_in_a_nested_choice_free_loop_keeps_the_outer_choices():
+    p = parse(
+        "int i, j, k;\n"
+        "main() { for (i = 0; i < 2; i++) { k = input();"
+        " for (j = 0; j < 2; j++) { assert(k + j != 2); } } }"
+    )
+    check = p.body.stmts[0].body.stmts[1].body.stmts[0]
+    v = enumerate_runs(p, SMALL)
+    assert v.witness == Trace([0, 1], check.loc, {"i": 1, "j": 1, "k": 1})
+    assert replay_trace(p, v.witness.nd_choices, SMALL).witness == v.witness
+
+
+def test_array_access_order_in_choice_free_loops():
+    p = parse(
+        "int i;\nint a[3], b[3];\n"
+        "main() { for (i = 0; i < 3; i++) { a[i] = i; }"
+        " for (i = 0; i < 3; i++) { b[a[2 - i]] = a[i];"
+        " if (b[i] >= a[1]) { assert(a[b[i]] > 0); } } }"
+    )
+    seen = []
+    assert enumerate_runs(p, SMALL, on_array_access=lambda a, i: seen.append((a, i))).safe
+    assert seen == [
+        ("a", 0), ("a", 1), ("a", 2),
+        ("a", 2), ("a", 0), ("b", 2), ("b", 0), ("a", 1),
+        ("a", 1), ("a", 1), ("b", 1), ("b", 1), ("a", 1), ("b", 1), ("a", 1),
+        ("a", 0), ("a", 2), ("b", 0), ("b", 2), ("a", 1),
+    ]
+
+
+def test_break_and_continue_keep_their_step_total():
+    # The loop holds break and continue, so it stays on the work stack: 29
+    # steps complete the run and 28 do not.
+    p = parse(
+        "int i, k;\n"
+        "main() { k = 0; for (i = 0; i < 10; i++) {"
+        " if (i == 1) { continue; } if (i == 3) { break; } k = k + i; }"
+        " assert(k == 2); assert(i == 3); }"
+    )
+    assert enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=29)).safe
+    with pytest.raises(BudgetExceeded):
+        enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=28))
