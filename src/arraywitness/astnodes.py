@@ -17,7 +17,7 @@ stack. ``clone`` copies a subtree field by field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Iterator, Union
 
@@ -179,9 +179,15 @@ class For:
     step: Expr  # expression giving the iterator's next value, e.g. i + 1
     body: "Stmt"
     loc: int = -1
-    # Set by the transformer on degenerate loops kept for break/continue.
-    # Excluded from equality so round trips through text stay structural.
-    single_trip: bool = field(default=False, compare=False)
+
+    @property
+    def single_trip(self) -> bool:
+        """``for (v = 0; v < 1; v++)`` whose body never mentions ``v``, kept by
+        the rewrite so that a break or continue binds to a loop."""
+        match self.init, self.test, self.step:
+            case Const(0), BinOp("<", Read(Var(t)), Const(1)), BinOp("+", Read(Var(s)), Const(1)):
+                return t == s == self.iterator and not mentions(self.body, t)
+        return False
 
 
 @dataclass(eq=True, slots=True)
@@ -286,7 +292,7 @@ _FIELDS = {
 
 def clone(node):
     """Structural copy of a subtree: every node and every list is new, while
-    names, numbers and flags are shared (they are immutable)."""
+    names and numbers are shared (they are immutable)."""
     cls = type(node)
     args = []
     for name in _FIELDS[cls]:
@@ -314,6 +320,15 @@ def loops_of(p: Program) -> list[For]:
 
 def asserts_of(p: Program) -> list[Assert]:
     return [n for n in walk(p) if isinstance(n, Assert)]
+
+
+def mentions(node, name: str) -> bool:
+    """Whether a variable or chained target under ``node`` is ``name``."""
+    return any(
+        (isinstance(n, Var) and n.name == name)
+        or (isinstance(n, ChainAssign) and name in n.targets)
+        for n in walk(node)
+    )
 
 
 def arrays_accessed(node) -> set[str]:

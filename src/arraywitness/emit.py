@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .analysis import ProgramFacts
-from .astnodes import ARRAY_INT, Input, Nd, NdRange, Program, walk
+from .astnodes import Input, Nd, NdRange, Program, walk
 from .grammar import validate_output_grammar
 from .precision import RULE_IDS, PrecisionVerdict
 from .printer import print_expr, print_stmt
@@ -58,16 +58,19 @@ _PREAMBLES = {
         "extern int __VERIFIER_nondet_int(void);",
         "extern void __VERIFIER_assume(int cond);",
     ],
+    # The stub declares the library functions it calls, not their headers, so
+    # a variable may take any other library name; ``emit_verifiable`` reads
+    # the names for its clash check from these lines.
     "stub": [
         "#include <assert.h>",
-        "#include <stdio.h>",
-        "#include <stdlib.h>",
-        "#include <string.h>",
+        "char *getenv(const char *name);",
+        "long strtol(const char *str, char **end, int base);",
+        "void exit(int status);",
         "static const char *__stub_cursor;",
         "static int __stub_nd(void) {",
-        "  if (__stub_cursor == NULL) {",
+        "  if (__stub_cursor == 0) {",
         '    const char *env = getenv("ND_CHOICES");',
-        '    __stub_cursor = env == NULL ? "" : env;',
+        '    __stub_cursor = env == 0 ? "" : env;',
         "  }",
         "  if (*__stub_cursor == '\\0') return 0;",
         "  char *end;",
@@ -143,8 +146,6 @@ def emit_verifiable(p: Program, cfg: EmitConfig | None = None) -> str:
     functions = set(re.findall(r"\b(\w+)\(", "\n".join(lines)))
     lines.append(_BEGIN)
     for d in p.decls:
-        if d.kind == ARRAY_INT:
-            raise EmitError("array declaration in output program")
         if d.name in functions:
             raise EmitError(
                 f"variable '{d.name}' clashes with {d.name}() in the "

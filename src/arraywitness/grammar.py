@@ -1,9 +1,9 @@
 """Conformance checking against the loop-free, array-free target grammar.
 
-A conformant program contains no ``for`` statements (degenerate single-trip
-loops kept by the break/continue optimization are whitelisted via their
-construction flag), no array accesses anywhere, and starts with a prefix of
-statements that initialize every witness index from ``nd(lo, hi)``.
+A conformant program has no loop but ``for (v = 0; v < 1; v++)`` with a body
+that never mentions ``v`` (``For.single_trip``), no array access or array
+declaration, and starts with a prefix of statements that initialize every
+witness index from ``nd(lo, hi)``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .astnodes import (
+    ARRAY_INT,
     ArrayAccess,
     Assign,
     ChainAssign,
@@ -59,11 +60,14 @@ def validate_output_grammar(
     must lead the program; when omitted (e.g. for a standalone file) only the
     structural loop/array conditions are checked.
     """
-    violations: list[Violation] = []
+    violations = [
+        Violation(d.loc, f"array declaration {d.name!r} in output program")
+        for d in p.decls if d.kind == ARRAY_INT
+    ]
     accesses = 0
     for node in walk(p.body):
         match node:
-            case For(loc=loc, single_trip=False):
+            case For(loc=loc) if not node.single_trip:
                 violations.append(Violation(loc, "loop statement in output program"))
             case ArrayAccess(array=name, loc=loc):
                 accesses += 1
@@ -72,14 +76,8 @@ def validate_output_grammar(
         initialized = _init_prefix_targets(p)
         for name in witness_indices:
             if name not in initialized:
-                violations.append(
-                    Violation(
-                        p.body.loc,
-                        f"witness index {name!r} is not initialized by a leading nd(lo, hi)",
-                    )
-                )
-    return ConformanceReport(
-        conformant=not violations,
-        violations=violations,
-        array_access_count=accesses,
-    )
+                violations.append(Violation(
+                    p.body.loc,
+                    f"witness index {name!r} is not initialized by a leading nd(lo, hi)",
+                ))
+    return ConformanceReport(not violations, violations, accesses)

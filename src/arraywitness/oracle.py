@@ -79,13 +79,6 @@ class Trace:
     failing_assert: int
     final_state: dict[str, int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nd_choices": list(self.nd_choices),
-            "failing_assert": self.failing_assert,
-            "final_state": dict(self.final_state),
-        }
-
 
 @dataclass
 class Verdict:

@@ -4,7 +4,8 @@ Concrete syntax: global ``int`` declarations (scalars and 1-D arrays) followed
 by a single ``main() { ... }``. Loop and conditional bodies require braces.
 The target-form constructs (``nd()``, ``nd(l,u)``, ternaries, guarded ternary
 assignments, chained assignments) parse as well so that printed programs
-round-trip.
+round-trip. Every identifier is resolved against the declarations where it is
+read, so a name error carries the position of its token.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.kinds: dict[str, str] = {}  # declared name -> SCALAR_INT or ARRAY_INT
 
     # -- token plumbing ----------------------------------------------------
 
@@ -134,11 +136,11 @@ class _Parser:
                        else f"expected {text!r}, found end of input")
         return self.next()
 
-    def expect_ident(self) -> str:
+    def expect_ident(self) -> Token:
         tok = self.peek()
         if tok.kind != "ident" or tok.text in KEYWORDS:
             self.error(f"expected identifier, found {tok.text!r}")
-        return self.next().text
+        return self.next()
 
     def number(self) -> int:
         """Consume a numeric literal. Its range is checked on the digits, so
@@ -146,12 +148,25 @@ class _Parser:
         tok = self.next()
         digits = tok.text.lstrip("0") or "0"
         if len(digits) > len(str(INT_MAX)) or int(digits) > INT_MAX:
-            raise ParseError(f"integer literal exceeds {INT_MAX}", tok.line, tok.col)
+            self.error(f"integer literal exceeds {INT_MAX}", tok)
         return int(digits)
 
-    def error(self, message: str):
-        tok = self.peek()
+    def error(self, message: str, tok: Token | None = None):
+        """Raise at ``tok``, or at the next token when none is given."""
+        tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def resolve(self, tok: Token, kind: str, what: str = "variable") -> str:
+        """The identifier at ``tok``, which must name a declared ``kind``;
+        ``what`` names the use of a scalar in the error."""
+        name, declared = tok.text, self.kinds.get(tok.text)
+        if declared is None:
+            noun = "array" if kind == ARRAY_INT else "identifier"
+            self.error(f"use of undeclared {noun} {name!r}", tok)
+        if declared != kind:
+            self.error(f"scalar {name!r} cannot be indexed" if kind == ARRAY_INT
+                       else f"{what} {name!r} must be a scalar, not an array", tok)
+        return name
 
     # -- grammar -----------------------------------------------------------
 
@@ -172,10 +187,12 @@ class _Parser:
         self.expect("int")
         decls = []
         while True:
-            tok = self.peek()
-            name = self.expect_ident()
+            tok = self.expect_ident()
+            name = tok.text
             if name.startswith("__"):  # C11 7.1.3; the emitter's names live there
-                raise ParseError(f"identifier {name!r} is reserved", tok.line, tok.col)
+                self.error(f"identifier {name!r} is reserved", tok)
+            if name in self.kinds:
+                self.error(f"identifier {name!r} declared more than once", tok)
             if self.accept("["):
                 size_tok = self.peek()
                 if size_tok.kind != "num":
@@ -183,10 +200,11 @@ class _Parser:
                 size = self.number()
                 self.expect("]")
                 if size < 1:
-                    raise ParseError("array size must be >= 1", size_tok.line, size_tok.col)
+                    self.error("array size must be >= 1", size_tok)
                 decls.append(Decl(name, ARRAY_INT, size))
             else:
                 decls.append(Decl(name, SCALAR_INT))
+            self.kinds[name] = decls[-1].kind
             if not self.accept(","):
                 break
         self.expect(";")
@@ -229,7 +247,7 @@ class _Parser:
             cond = self.expression()
             self.expect(")")
             self.expect("?")
-            target = Var(self.expect_ident())
+            target = Var(self.resolve(self.expect_ident(), SCALAR_INT))
             self.expect("=")
             value = self.expression()
             self.expect(":")
@@ -241,8 +259,9 @@ class _Parser:
         self.error(f"unexpected token {tok.text!r}")
 
     def assignment(self):
-        name = self.expect_ident()
+        first = self.expect_ident()
         if self.accept("["):
+            name = self.resolve(first, ARRAY_INT)
             index = self.expression()
             self.expect("]")
             self.expect("=")
@@ -250,32 +269,34 @@ class _Parser:
             self.expect(";")
             return Assign(ArrayAccess(name, index), value)
         self.expect("=")
-        targets = [name]
+        tokens = [first]
         while (
             self.peek().kind == "ident"
             and self.peek().text not in KEYWORDS
             and self.peek(1).text == "="
             and self.peek(1).kind == "punct"
         ):
-            targets.append(self.expect_ident())
+            tokens.append(self.expect_ident())
             self.expect("=")
+        what = "variable" if len(tokens) == 1 else "assignment target"
+        targets = [self.resolve(tok, SCALAR_INT, what) for tok in tokens]
         value = self.expression()
         self.expect(";")
         if len(targets) == 1:
-            return Assign(Var(name), value)
+            return Assign(Var(targets[0]), value)
         return ChainAssign(targets, value)
 
     def for_statement(self) -> For:
         self.expect("(")
-        iterator = self.expect_ident()
+        iterator = self.resolve(self.expect_ident(), SCALAR_INT, "loop iterator")
         self.expect("=")
         init = self.expression()
         self.expect(";")
         test = self.expression()
         self.expect(";")
         step_var = self.expect_ident()
-        if step_var != iterator:
-            self.error(f"loop step must update the iterator {iterator!r}")
+        if step_var.text != iterator:
+            self.error(f"loop step must update the iterator {iterator!r}", step_var)
         if self.accept("++"):
             step = BinOp("+", Read(Var(iterator)), Const(1))
         elif self.accept("+="):
@@ -340,54 +361,30 @@ class _Parser:
                 self.expect(")")
                 return Input()
             if self.accept("["):
+                name = self.resolve(tok, ARRAY_INT)
                 index = self.expression()
                 self.expect("]")
                 return Read(ArrayAccess(name, index))
-            return Read(Var(name))
+            return Read(Var(self.resolve(tok, SCALAR_INT)))
         self.error(f"expected expression, found {tok.text!r}")
 
 
-def _check_names(p: Program) -> None:
-    seen: dict[str, Decl] = {}
-    for d in p.decls:
-        if d.name in seen:
-            raise ParseError(f"identifier {d.name!r} declared more than once", 0, 0)
-        seen[d.name] = d
-    arrays = {d.name for d in p.decls if d.kind == ARRAY_INT}
-    scalars = {d.name for d in p.decls if d.kind == SCALAR_INT}
-
-    def require_scalar(name: str, what: str):
-        if name in arrays:
-            raise ParseError(f"{what} {name!r} must be a scalar, not an array", 0, 0)
-        if name not in scalars:
-            raise ParseError(f"use of undeclared identifier {name!r}", 0, 0)
-
+def _check_depth(p: Program) -> None:
+    """Bound the tree's depth. Operator chains are built in a loop, so the
+    parser's own recursion does not bound it."""
     stack = [(p.body, 1)]
     while stack:
         node, depth = stack.pop()
         if depth > MAX_DEPTH:
             raise ParseError(f"program nested more than {MAX_DEPTH} levels deep", 0, 0)
-        stack += [(c, depth + 1) for c in reversed(children(node))]
-        match node:
-            case Var(name):
-                require_scalar(name, "variable")
-            case ArrayAccess(array=name):
-                if name in scalars:
-                    raise ParseError(f"scalar {name!r} cannot be indexed", 0, 0)
-                if name not in arrays:
-                    raise ParseError(f"use of undeclared array {name!r}", 0, 0)
-            case For(iterator=it):
-                require_scalar(it, "loop iterator")
-            case ChainAssign(targets=targets):
-                for t in targets:
-                    require_scalar(t, "assignment target")
+        stack += [(c, depth + 1) for c in children(node)]
 
 
 def parse(source: str) -> Program:
-    """Parse source text into a located, name-checked :class:`Program`."""
+    """Parse source text into a located, name-resolved :class:`Program`."""
     try:
         p = _Parser(tokenize(source)).program()
     except RecursionError:
         raise ParseError("program nested too deeply to parse", 0, 0) from None
-    _check_names(p)
+    _check_depth(p)
     return assign_locs(p)

@@ -37,6 +37,7 @@ from .astnodes import (
     Var,
     assign_locs,
     clone,
+    mentions,
     walk,
 )
 
@@ -125,17 +126,11 @@ def transform_loop(s: For, ctx: TransformContext) -> list[Stmt]:
     body = transform_stmt(s.body, ctx)
 
     if summary.has_break_or_continue:
-        # Keep a degenerate header so break/continue still bind to a loop
-        # that runs the body at most once.
+        # Keep the single-trip header the output grammar admits, so that
+        # break/continue still bind to a loop that runs the body at most once.
         once = _fresh_scalar("once", ctx)
-        trip = For(
-            once,
-            Const(0),
-            BinOp("<", _read(once), Const(1)),
-            BinOp("+", _read(once), Const(1)),
-            Block(body),
-            single_trip=True,
-        )
+        trip = For(once, Const(0), BinOp("<", _read(once), Const(1)),
+                   BinOp("+", _read(once), Const(1)), Block(body))
         guarded = Block(
             pre + [Assign(Var(s.iterator), _iterator_nd_bound(summary, ctx)), trip]
         )
@@ -239,10 +234,6 @@ def _witness_inits(arrays: list[ArrayInfo]) -> list[Stmt]:
     return inits
 
 
-def _mentions_var(node, name: str) -> bool:
-    return any(isinstance(n, Var) and n.name == name for n in walk(node))
-
-
 def _prune_dead_nd(root: Block, prunable: set[int]) -> None:
     """Drop the trailing iterator nd-assigns that are certainly overwritten
     before any read (e.g. the next full-access loop re-pins the iterator).
@@ -264,10 +255,10 @@ def _overwritten_before_read(rest: list[Stmt], x: str) -> bool:
     for t in rest:
         match t:
             case Assign(Var(name), value) if name == x:
-                return not _mentions_var(value, x)
+                return not mentions(value, x)
             case ChainAssign(targets, value) if x in targets:
-                return not _mentions_var(value, x)
-        if _mentions_var(t, x):
+                return not mentions(value, x)
+        if mentions(t, x):
             return False
     return False
 

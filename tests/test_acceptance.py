@@ -99,12 +99,17 @@ class FuzzCampaign:
     results: list
     conformant: int
     elapsed: float
+    over_budget: list  # seeds dropped because their enumeration hit the step budget
+
+
+# The transforms of these generated programs need more than 400 k steps.
+KNOWN_OVER_BUDGET = {61, 182, 286, 476}
 
 
 @pytest.fixture(scope="module")
 def fuzz_campaign():
     cfg = OracleConfig(value_domain=(0, 2), max_steps=400_000)
-    results = []
+    results, over_budget = [], []
     conformant = 0
     start = time.perf_counter()
     seed = 0
@@ -117,20 +122,22 @@ def fuzz_campaign():
         try:
             diff = differential_check(p, info.program, cfg)
         except BudgetExceeded:
+            over_budget.append(seed - 1)
             continue
         results.append((seed - 1, diff))
-    return FuzzCampaign(results, conformant, time.perf_counter() - start)
+    return FuzzCampaign(results, conformant, time.perf_counter() - start, over_budget)
 
 
 def test_criterion_3_soundness_fuzz(fuzz_campaign):
     c = fuzz_campaign
     unsound = [seed for seed, diff in c.results if not diff.sound]
-    ok = len(c.results) >= 500 and not unsound and c.elapsed < 300.0
+    unexpected = set(c.over_budget) - KNOWN_OVER_BUDGET
+    ok = len(c.results) >= 500 and not unsound and not unexpected and c.elapsed < 300.0
     _report(
         3,
         ok,
         f"{len(c.results)} fuzzed programs, {len(unsound)} unsound, "
-        f"{c.elapsed:.1f}s",
+        f"dropped over the step budget: seeds {c.over_budget}, {c.elapsed:.1f}s",
     )
 
 

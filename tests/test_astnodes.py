@@ -59,7 +59,7 @@ def test_clone_is_equal_and_shares_no_node_or_list():
         q = clone(p)
         assert q == p, label
         assert not _ids_of_nodes_and_lists(p) & _ids_of_nodes_and_lists(q), label
-        # single_trip is left out of equality; the copy must still carry it.
+        # single_trip is read from the tree, so the copy must agree on it.
         trips = [n.single_trip for n in walk(p) if isinstance(n, For)]
         assert [n.single_trip for n in walk(q) if isinstance(n, For)] == trips, label
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import shutil
 import stat
 import subprocess
 import sys
@@ -188,6 +189,27 @@ def test_variable_named_like_a_preamble_function_is_an_error(
     assert not out.exists()
     if accepted_by is not None:
         assert run(["transform", str(src), "-o", str(out), "--nd-style", accepted_by]) == 0
+
+
+@pytest.mark.parametrize("name", ["abs", "printf", "strlen", "malloc"])
+def test_stub_leaves_other_library_names_free(tmp_path, name):
+    # The stub preamble includes only <assert.h> and declares the functions
+    # it calls itself, so a variable may take any other library name.
+    src, out = tmp_path / "lib.c", tmp_path / "out.c"
+    src.write_text(f"int {name}, i;\nmain() {{ i = input(); assert(i == {name}); }}\n")
+    assert run(["transform", str(src), "-o", str(out), "--nd-style", "stub"]) == 0
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc not available")
+    gcc = subprocess.run(["gcc", "-std=c99", "-c", "-o", str(tmp_path / "out.o"), str(out)],
+                         capture_output=True, text=True)
+    assert gcc.returncode == 0, gcc.stderr
+
+
+def test_name_error_is_one_line_at_the_identifier(tmp_path, capsys):
+    src = tmp_path / "undeclared.c"
+    src.write_text("int i;\nmain() { i = 0;\n  i = i + k; }\n")
+    assert run(["transform", str(src)]) == 2
+    assert capsys.readouterr().err == "error: 3:11: use of undeclared identifier 'k'\n"
 
 
 def test_array_size_requires_oracle(tmp_path, capsys):

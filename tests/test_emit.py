@@ -16,7 +16,9 @@ from arraywitness import (
     print_program,
     strip_scaffolding,
     transform_with_info,
+    validate_output_grammar,
 )
+from arraywitness.astnodes import For, walk
 from arraywitness.emit import EmitError, ND_STYLES, REPORT_SCHEMA
 
 from conftest import load_fixture
@@ -55,6 +57,21 @@ def test_strip_round_trip(style, name):
         assert parse(print_program(result.program)) == result.program
         text = emit_verifiable(result.program, EmitConfig(style))
         assert parse(strip_scaffolding(text)) == result.program
+
+
+def test_reparsed_single_trip_transforms_conform_and_emit_the_same():
+    # Single-trip loops are a shape of the tree, so the printed and reparsed
+    # copy of a transform that keeps one is as conformant as the transform.
+    kept = 0
+    for seed in range(300):
+        result = transform_with_info(generate_program(seed))
+        if not any(isinstance(n, For) for n in walk(result.program)):
+            continue
+        kept += 1
+        copy = parse(print_program(result.program))
+        assert validate_output_grammar(copy, result.witness_indices).conformant, seed
+        assert emit_verifiable(copy) == emit_verifiable(result.program), seed
+    assert kept == 24
 
 
 def test_markers_and_style_calls(fig1):

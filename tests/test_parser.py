@@ -92,6 +92,29 @@ def test_unknown_name_rejected():
         parse("int i;\nmain() { j = 0; }")
 
 
+# A backquote marks the offending identifier; it is not part of the program.
+@pytest.mark.parametrize("text, message", [
+    ("int i;\nmain() { i = 1 + `k; }", "use of undeclared identifier 'k'"),
+    ("int i;\nmain() { i = 0;\n  `b[i] = 1; }", "use of undeclared array 'b'"),
+    ("int i, k;\nmain() { i = `k[0]; }", "scalar 'k' cannot be indexed"),
+    ("int i;\nint a[4];\nmain() { i = 1 + `a; }",
+     "variable 'a' must be a scalar, not an array"),
+    ("int i;\nint a[4];\nmain() {\n  for (`a = 0; i < 4; a++) { i = 0; } }",
+     "loop iterator 'a' must be a scalar, not an array"),
+    ("int i;\nint a[4];\nmain() { i = `a = 0; }",
+     "assignment target 'a' must be a scalar, not an array"),
+    ("int i;\nint `i[4];\nmain() { i = 0; }", "identifier 'i' declared more than once"),
+], ids=["undeclared-scalar", "undeclared-array", "indexed-scalar", "array-read",
+        "array-iterator", "array-chain-target", "duplicate"])
+def test_name_error_points_at_its_identifier(text, message):
+    before, after = text.split("`")
+    with pytest.raises(ParseError) as info:
+        parse(before + after)
+    e = info.value
+    line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+    assert (e.message, e.line, e.col) == (message, line, col)
+
+
 @pytest.mark.parametrize("decls", ["int i, __nd_0;", "int __stub_cursor[4];",
                                    "unsigned int __CPROVER_x;"])
 def test_reserved_identifier_rejected(decls):

@@ -1,6 +1,7 @@
 import pytest
 
 from arraywitness import (
+    emit_verifiable,
     parse,
     print_program,
     transform_program,
@@ -18,6 +19,7 @@ from arraywitness.astnodes import (
     Var,
     walk,
 )
+from arraywitness.emit import EmitError
 from arraywitness.transform import TransformError
 
 from conftest import load_fixture
@@ -127,6 +129,20 @@ def test_break_loop_becomes_single_trip():
     assert len(loops) == 1 and loops[0].single_trip
     report = validate_output_grammar(result.program, result.witness_indices)
     assert report.conformant
+
+
+@pytest.mark.parametrize("text, message", [
+    ("int v;\nmain() { for (v = 0; v < 1; v++) { v = 0; } }",
+     "loop statement in output program"),
+    ("int x;\nint a[2];\nmain() { x = 0; }", "array declaration 'a' in output program"),
+], ids=["assigned-iterator", "array-declaration"])
+def test_output_grammar_violations(text, message):
+    # A single-trip header whose body assigns the iterator may loop forever,
+    # and an array declaration is as foreign to the output as an access.
+    p = parse(text)
+    assert [v.message for v in validate_output_grammar(p).violations] == [message]
+    with pytest.raises(EmitError, match=message):
+        emit_verifiable(p)
 
 
 def test_zero_trip_loop_gets_empty_range():
