@@ -29,7 +29,7 @@ from .astnodes import (
     Read,
     Var,
     _CHILDREN,
-    walk,
+    mentions,
 )
 
 
@@ -270,12 +270,7 @@ def _const_def_dominates(body, name: str) -> bool:
         match s:
             case Assign(Var(n), Const()) if n == name:
                 return True
-        mentioned = any(
-            (isinstance(n, Var) and n.name == name)
-            or (isinstance(n, For) and n.iterator == name)
-            for n in walk(s)
-        )
-        if mentioned:
+        if mentions(s, name):
             return False
     return False
 

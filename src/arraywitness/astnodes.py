@@ -323,10 +323,12 @@ def asserts_of(p: Program) -> list[Assert]:
 
 
 def mentions(node, name: str) -> bool:
-    """Whether a variable or chained target under ``node`` is ``name``."""
+    """Whether a variable, chained target or loop iterator under ``node`` is
+    ``name``."""
     return any(
         (isinstance(n, Var) and n.name == name)
         or (isinstance(n, ChainAssign) and name in n.targets)
+        or (isinstance(n, For) and n.iterator == name)
         for n in walk(node)
     )
 

@@ -307,7 +307,15 @@ def emit_report(facts: ProgramFacts, verdicts: list[PrecisionVerdict]) -> str:
             for loc, s in sorted(facts.summaries.items())
         ],
         "assertions": [
-            v.to_json_dict() for v in sorted(verdicts, key=lambda v: v.assertion_loc)
+            {
+                "location": v.assertion_loc,
+                "precise": v.precise,
+                "violated_rules": [
+                    {"rule": r.rule, "location": r.loc, "note": r.note}
+                    for r in v.violated_rules
+                ],
+            }
+            for v in sorted(verdicts, key=lambda v: v.assertion_loc)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

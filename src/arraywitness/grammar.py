@@ -32,9 +32,12 @@ class Violation:
 
 @dataclass
 class ConformanceReport:
-    conformant: bool
     violations: list[Violation] = field(default_factory=list)
     array_access_count: int = 0
+
+    @property
+    def conformant(self) -> bool:
+        return not self.violations
 
 
 def _init_prefix_targets(p: Program) -> set[str]:
@@ -80,4 +83,4 @@ def validate_output_grammar(
                     p.body.loc,
                     f"witness index {name!r} is not initialized by a leading nd(lo, hi)",
                 ))
-    return ConformanceReport(not violations, violations, accesses)
+    return ConformanceReport(violations, accesses)

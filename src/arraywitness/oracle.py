@@ -12,7 +12,7 @@ continue, run as compiled closures that count the steps the work stack would.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .analysis import ARRAY_INT, analyze_program, loop_bound
@@ -96,15 +96,14 @@ class DifferentialResult:
     orig_verdict: Verdict
     trans_verdict: Verdict
     precise: bool | None  # None: program has no classifiable assertion
-    sound: bool = field(init=False)
-    precise_consistent: bool | None = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.sound = self.orig_verdict.safe or not self.trans_verdict.safe
-        if self.precise:
-            self.precise_consistent = self.orig_verdict.safe == self.trans_verdict.safe
-        else:
-            self.precise_consistent = None
+    @property
+    def sound(self) -> bool:
+        return self.orig_verdict.safe or not self.trans_verdict.safe
+
+    @property
+    def precise_consistent(self) -> bool | None:  # None unless classified precise
+        return self.orig_verdict.safe == self.trans_verdict.safe if self.precise else None
 
 
 def _c_div(a: int, b: int) -> int:

@@ -382,9 +382,11 @@ def _check_depth(p: Program) -> None:
 
 def parse(source: str) -> Program:
     """Parse source text into a located, name-resolved :class:`Program`."""
+    parser = _Parser(tokenize(source))
     try:
-        p = _Parser(tokenize(source)).program()
+        p = parser.program()
     except RecursionError:
-        raise ParseError("program nested too deeply to parse", 0, 0) from None
+        tok = parser.peek()
+        raise ParseError("program nested too deeply to parse", tok.line, tok.col) from None
     _check_depth(p)
     return assign_locs(p)

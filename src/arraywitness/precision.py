@@ -34,14 +34,11 @@ from .astnodes import (
     Program,
     Read,
     Var,
+    mentions,
     walk,
 )
 
 RULE_IDS = ("l1", "a2", "a3", "s4", "d5", "d6")
-
-
-class AssertionOutsideLoop(Exception):
-    pass
 
 
 @dataclass
@@ -57,22 +54,15 @@ class RuleViolation:
     loc: int
     note: str
 
-    def to_json_dict(self) -> dict:
-        return {"rule": self.rule, "location": self.loc, "note": self.note}
-
 
 @dataclass
 class PrecisionVerdict:
     assertion_loc: int
-    precise: bool
     violated_rules: list[RuleViolation] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "location": self.assertion_loc,
-            "precise": self.precise,
-            "violated_rules": [v.to_json_dict() for v in self.violated_rules],
-        }
+    @property
+    def precise(self) -> bool:
+        return not self.violated_rules
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +161,13 @@ def _absorb(facts: ProgramFacts, scope, guards_of, roots=(), scalars=(), arrays=
 
 def _closure(facts: ProgramFacts, assertion_loc: int):
     """The assertion's loop s_a and its v_imp, e_imp and s_def as
-    :func:`dependence_closure` describes them, s_def in program order."""
+    :func:`dependence_closure` describes them, s_def in program order; None
+    for an assertion outside every loop."""
     assertion = facts.asserts.get(assertion_loc)
     if assertion is None:
         raise ValueError(f"location {assertion_loc} is not an assertion")
     if not facts.loops[id(assertion)]:
-        raise AssertionOutsideLoop(
-            f"assertion at location {assertion_loc} is not inside a loop"
-        )
+        return None
     s_a = facts.loops[id(assertion)][-1]
     outer = len(facts.guards[id(s_a)])
 
@@ -206,11 +195,15 @@ def dependence_closure(p: Program, assertion_loc: int) -> DependenceClosure:
 
     v_imp/e_imp are the data and control dependences within the enclosing
     loop; s_def collects every loop (anywhere) whose body defines a name the
-    assertion transitively depends on. All three sets over-approximate. The
+    assertion transitively depends on. All three sets over-approximate. An
+    assertion outside every loop has no closure and raises ``ValueError``. The
     cost is one :func:`analyze_program` scan plus work proportional to the
     closure: the assignments to the names it reaches and their expressions.
     """
-    _, v_imp, e_imp, s_def = _closure(analyze_program(p), assertion_loc)
+    closure = _closure(analyze_program(p), assertion_loc)
+    if closure is None:
+        raise ValueError(f"assertion at location {assertion_loc} is not inside a loop")
+    _, v_imp, e_imp, s_def = closure
     return DependenceClosure(
         v_imp=v_imp,
         e_imp={acc.loc for acc in e_imp},
@@ -259,11 +252,8 @@ def _def_before_use_ok(loop: For, x: str) -> bool:
                     return defined and d1, ok1
                 d2, ok2 = stmt_ok(orelse, defined)
                 return d1 and d2, ok1 and ok2
-            case For(iterator=it):
-                mentioned = it == x or any(
-                    isinstance(n, Var) and n.name == x for n in walk(s)
-                )
-                if mentioned:
+            case For():
+                if mentions(s, x):
                     return False, False
                 return defined, True
             case Break() | Continue():
@@ -285,12 +275,18 @@ def classify(
 
     The verdict is conservative: a precise result guarantees the transformed
     program preserves the assertion's verdict, an imprecise result only means
-    no guarantee is made. ``facts`` must describe ``p``; without it they are
-    computed here. Given the facts, the cost is proportional to the
-    assertion's dependence closure and the loops it involves, not to ``p``.
+    no guarantee is made. An assertion outside every loop violates l1.
+    ``facts`` must describe ``p``; without it they are computed here. Given
+    the facts, the cost is proportional to the assertion's dependence
+    closure and the loops it involves, not to ``p``.
     """
     facts = facts or analyze_program(p)
-    s_a, v_imp, e_imp, s_def = _closure(facts, assertion_loc)
+    closure = _closure(facts, assertion_loc)
+    if closure is None:
+        return PrecisionVerdict(
+            assertion_loc, [RuleViolation("l1", assertion_loc, "assertion is not inside a loop")]
+        )
+    s_a, v_imp, e_imp, s_def = closure
     summaries = facts.summaries
     rel_arrays = {acc.array for acc in e_imp}
     involved = [s_a] + [s for s in s_def if s is not s_a]
@@ -391,37 +387,18 @@ def classify(
                                 )
                             )
 
-    return PrecisionVerdict(
-        assertion_loc=assertion_loc,
-        precise=not violations,
-        violated_rules=violations,
-    )
+    return PrecisionVerdict(assertion_loc, violations)
 
 
 def classify_all(p: Program, facts: ProgramFacts | None = None) -> list[PrecisionVerdict]:
-    """One verdict per assertion, in program order. Assertions outside loops
-    get an imprecise verdict (no precision claim is made for them).
+    """One verdict per assertion, in program order.
 
     The facts are built once (or taken from the caller) and shared by every
     :func:`classify` call, so the cost is one scan of ``p`` plus, per
     assertion, work proportional to its dependence closure.
     """
     facts = facts or analyze_program(p)
-    verdicts = []
-    for loc in facts.asserts:
-        try:
-            verdicts.append(classify(p, loc, facts))
-        except AssertionOutsideLoop:
-            verdicts.append(
-                PrecisionVerdict(
-                    assertion_loc=loc,
-                    precise=False,
-                    violated_rules=[
-                        RuleViolation("l1", loc, "assertion is not inside a loop")
-                    ],
-                )
-            )
-    return verdicts
+    return [classify(p, loc, facts) for loc in facts.asserts]
 
 
 def classify_program(p: Program, facts: ProgramFacts | None = None) -> bool | None:

@@ -2,8 +2,8 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
-from arraywitness import generate_program, transform_with_info
-from arraywitness.astnodes import For, Var, clone, walk
+from arraywitness import generate_program, parse, transform_with_info
+from arraywitness.astnodes import For, Var, clone, mentions, walk
 from arraywitness.oracle import OracleError, scale_arrays
 
 from conftest import FIXTURES, load_fixture
@@ -82,3 +82,12 @@ def test_nodes_reject_undeclared_attributes():
     with pytest.raises(AttributeError):
         v.nmae = "y"
     assert not hasattr(v, "__dict__")
+
+
+def test_mentions_counts_a_loop_iterator():
+    # The header assigns i but holds no Var i.
+    p = parse("int i, k;\nmain() { for (i = 0; k < 3; i = 5) { } }")
+    (loop,) = p.body.stmts
+    assert not any(isinstance(n, Var) and n.name == "i" for n in walk(loop))
+    assert mentions(loop, "i") and mentions(p.body, "i")
+    assert mentions(loop, "k") and not mentions(loop, "x")

@@ -107,6 +107,10 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys, rhs):
     assert run(["transform", str(deep)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nested" in err and err.count("\n") == 1
+    if rhs.startswith("("):
+        # The parser gives up inside the parentheses, and says where.
+        line, col = map(int, err.split(":")[1:3])
+        assert line == 2 and len("main() { x = (") < col <= len("main() { x = ") + 5000, err
 
 
 @pytest.mark.parametrize(

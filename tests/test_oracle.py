@@ -10,6 +10,7 @@ from arraywitness import (
     replay_trace,
     transform_program,
 )
+from arraywitness.astnodes import Assert, BinOp, NdRange, walk
 from arraywitness.oracle import (
     BudgetExceeded,
     NonConstantBound,
@@ -362,3 +363,78 @@ def test_break_and_continue_keep_their_step_total():
     assert enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=29)).safe
     with pytest.raises(BudgetExceeded):
         enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=28))
+
+
+# The choice semantics of target-grammar expressions at domain 0..1: the
+# order in which choices are drawn, which of them an operator skips, what an
+# empty nd(lo, hi) does mid-expression, and where a division fails. Each case
+# gives its source, the x (and y, c) of every completed run in order, the
+# step total, and the witness as (choices, failing node, final state) where
+# the failing node is "assert" or "/".
+BIT = OracleConfig(value_domain=(0, 1))
+CHOICE_CASES = {
+    # The second nd's lower bound is itself a choice; nd(2, 1) draws nothing.
+    "nested-bound": (
+        "int x;\nmain() { x = nd(0, 2) * 10 + nd(nd(0, 2), 1); }",
+        [{"x": v} for v in (0, 1, 1, 10, 11, 11, 20, 21, 21)], 2, None,
+    ),
+    "ternary": (
+        "int x;\nmain() { x = nd() ? nd(5, 6) : nd(7, 9); assert(x != 6); }",
+        [{"x": v} for v in (7, 8, 9, 5)], 7, ([1, 6], "assert", {"x": 6}),
+    ),
+    "short-circuit": (
+        "int x, y;\nmain() { x = nd() && nd(); y = nd() || nd(); assert(x + y < 2); }",
+        [{"x": x, "y": y} for x, y in ((0, 0), (0, 1), (0, 1), (0, 0), (0, 1), (0, 1), (1, 0))],
+        13, ([1, 1, 0, 1], "assert", {"x": 1, "y": 1}),
+    ),
+    "empty-range": ("int y;\nmain() { y = nd(2, 1) + nd(); }", [], 2, None),
+    "division": (
+        "int x;\nmain() { x = nd(0, 1) + nd(0, 1); assert(x + 4 / nd(0, 1) > 0); }",
+        [], 3, ([0, 0, 0], "/", {"x": 0}),
+    ),
+    # The discarded side draws its choices and can fail, but assigns nothing.
+    "guarded-discard": (
+        "int c, x;\nmain() { c = nd(); (c == 0) ? x = nd(0, 1) : nd(0, 1) + 2 / (nd(0, 1) - 1); }",
+        [{"c": 0, "x": 0}, {"c": 0, "x": 1}, {"c": 1, "x": 0}],
+        4, ([1, 0, 1], "/", {"c": 1, "x": 0}),
+    ),
+}
+
+
+def _failing_node(p, kind: str) -> int:
+    def found(n) -> bool:
+        if kind == "assert":
+            return isinstance(n, Assert)
+        return isinstance(n, BinOp) and n.op == kind
+
+    (loc,) = [n.loc for n in walk(p) if found(n)]
+    return loc
+
+
+@pytest.mark.parametrize("case", CHOICE_CASES)
+def test_choice_semantics(case):
+    source, completed, steps, witness = CHOICE_CASES[case]
+    p = parse(source)
+    states = []
+    v = enumerate_runs(p, BIT, on_complete=states.append)
+    assert (states, v.steps) == (completed, steps)
+    if witness is None:
+        assert v.safe and v.witness is None
+        return
+    choices, kind, final = witness
+    expected = Trace(choices, _failing_node(p, kind), final)
+    assert v.outcome == "unsafe" and v.witness == expected
+    r = replay_trace(p, choices, BIT)
+    assert r.outcome == "unsafe" and r.witness == expected
+
+
+def test_replay_of_a_choice_inside_a_bound():
+    p = parse(CHOICE_CASES["nested-bound"][0])
+    first = next(n.loc for n in walk(p) if isinstance(n, NdRange))
+    assert replay_trace(p, [2, 1, 1], BIT).safe
+    with pytest.raises(OracleError) as e:
+        replay_trace(p, [], BIT)
+    assert str(e.value) == f"trace exhausted at choice 0 (location {first})"
+    with pytest.raises(OracleError) as e:
+        replay_trace(p, [5], BIT)
+    assert str(e.value) == f"scripted value 5 outside [0, 2] at location {first}"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from arraywitness import (
@@ -7,13 +9,13 @@ from arraywitness import (
     classify_all,
     classify_program,
     dependence_closure,
+    emit_report,
     generate_program,
     parse,
     precision,
     transform_with_info,
 )
 from arraywitness.astnodes import asserts_of, loops_of
-from arraywitness.precision import AssertionOutsideLoop
 
 from conftest import load_fixture
 
@@ -66,6 +68,8 @@ def test_assertion_outside_loop_is_imprecise():
     p = parse("int i;\nint a[4];\nmain() { for (i = 0; i < 4; i++) { a[i] = i; } assert(a[0] == 0); }")
     (verdict,) = classify_all(p)
     assert not verdict.precise
+    assert [(r.rule, r.loc) for r in verdict.violated_rules] == [("l1", verdict.assertion_loc)]
+    assert classify(p, verdict.assertion_loc) == verdict
 
 
 def test_no_assertion_yields_none():
@@ -137,8 +141,10 @@ def test_d6_violation_on_carried_scalar_in_write():
 
 def test_verdict_json_shape(fig7):
     verdict = classify(fig7, _only_assert_loc(fig7))
-    doc = verdict.to_json_dict()
+    (doc,) = json.loads(emit_report(analyze_program(fig7), [verdict]))["assertions"]
     assert set(doc) == {"location", "precise", "violated_rules"}
+    assert doc["location"] == verdict.assertion_loc and doc["precise"] is False
+    assert doc["violated_rules"]
     for v in doc["violated_rules"]:
         assert set(v) == {"rule", "location", "note"}
 
@@ -279,12 +285,12 @@ def test_batch_and_single_classification_agree(monkeypatch):
         assert classify_program(p) == expected, label
         assert [v.assertion_loc for v in verdicts] == [a.loc for a in asserts_of(p)]
         for a, batch in zip(asserts_of(p), verdicts):
-            try:
-                single = classify(p, a.loc)
-            except AssertionOutsideLoop:
+            assert batch == classify(p, a.loc), label
+            if used[-1] is None:  # outside every loop
                 assert [r.rule for r in batch.violated_rules] == ["l1"], label
+                with pytest.raises(ValueError, match="not inside a loop"):
+                    dependence_closure(p, a.loc)
                 continue
-            assert batch == single, label
             _, v_imp, e_imp, s_def = used[-1]
             closure = dependence_closure(p, a.loc)
             assert closure.v_imp == v_imp, label
