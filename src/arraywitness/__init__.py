@@ -11,10 +11,7 @@ from .analysis import (
     LoopSummary,
     ProgramFacts,
     analyze_program,
-    collect_arrays,
-    full_array_access,
     loop_bound,
-    loop_defs,
 )
 from .emit import EmitConfig, emit_report, emit_verifiable, strip_scaffolding
 from .gen import generate_program
@@ -23,7 +20,6 @@ from .oracle import (
     OracleConfig,
     Trace,
     Verdict,
-    collect_final_states,
     differential_check,
     enumerate_runs,
     replay_trace,
@@ -55,17 +51,13 @@ __all__ = [
     "classify",
     "classify_all",
     "classify_program",
-    "collect_arrays",
-    "collect_final_states",
     "dependence_closure",
     "differential_check",
     "emit_report",
     "emit_verifiable",
     "enumerate_runs",
-    "full_array_access",
     "generate_program",
     "loop_bound",
-    "loop_defs",
     "parse",
     "print_program",
     "replay_trace",

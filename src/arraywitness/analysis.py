@@ -1,18 +1,17 @@
 """Static facts feeding the transformation and the precision rules: array
 inventory, full-access detection, modified-variable sets, loop bounds, and
 per-statement context and def index, all from one scan (``ProgramFacts``).
+:func:`analyze_program` is the one way to these facts.
 
-Safe directions differ per analysis and are relied on by the transformation:
-``full_array_access`` may only err towards ``False`` (under-approximation),
-``loop_defs`` may only err towards a larger set (over-approximation). A
-full-access loop is one whose iterator takes every index 0..K-1 of the arrays
-it accesses; an access under a guard may still skip some of them.
+Safe directions differ per fact and are relied on by the transformation:
+``LoopSummary.full_access`` may only err towards ``False``
+(under-approximation), ``LoopSummary.defs`` may only err towards a larger set
+(over-approximation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .astnodes import (
     ARRAY_INT,
@@ -48,6 +47,29 @@ class ArrayInfo:
 
 @dataclass
 class LoopSummary:
+    """What :func:`analyze_program` finds about one loop.
+
+    ``full_access``, which may err only towards False: the iterator takes every
+    index 0..K-1 of every array the loop accesses. That is all the full-access
+    branch of ``transform_loop`` and rule l1 need: the rewrite runs the body
+    once with the iterator pinned to the witness index, which is one of the
+    original's iterations. Whether an access runs at that index is left to the
+    guards in the body, which the rewrite keeps; ``if (i == 0) { x = a[i]; }``
+    reads only ``a[0]`` and still counts. It requires a unit-step
+    ``for(i=0; i<K; i++)`` (or ``i<=K-1``) with constant K; every accessed
+    array sized exactly K; every access indexed by the bare iterator; no
+    break/continue or iterator assignment in the body; no nested loop with a
+    break/continue or an array access, in its header or its body. Any miss
+    gives False.
+
+    ``defs``, which may err only towards a larger set: the variables, arrays
+    included, that the loop modifies. Scalars assigned in the body are
+    included unless every assignment to them has a constant right-hand side
+    that dominates all their uses in the body; the iterator is never
+    included; an array is included when some write uses an index not
+    syntactically equal to the iterator.
+    """
+
     full_access: bool
     defs: set[str]
     bound: range | None  # see loop_bound
@@ -66,17 +88,13 @@ def _fresh(base: str, taken: set[str]) -> str:
     return f"{base}_{n}"
 
 
-def collect_arrays(p: Program) -> list[ArrayInfo]:
+def _collect_arrays(p: Program) -> list[ArrayInfo]:
     """One witness pair per declared array, avoiding declared names."""
     taken = {d.name for d in p.decls}
-    infos = []
-    for d in p.decls:
-        if d.kind != ARRAY_INT:
-            continue
-        witness_var = _fresh(f"x_{d.name}", taken)
-        witness_idx = _fresh(f"i_{d.name}", taken)
-        infos.append(ArrayInfo(d.name, d.size, witness_var, witness_idx))
-    return infos
+    return [
+        ArrayInfo(d.name, d.size, _fresh(f"x_{d.name}", taken), _fresh(f"i_{d.name}", taken))
+        for d in p.decls if d.kind == ARRAY_INT
+    ]
 
 
 def loop_bound(loop: For) -> range | None:
@@ -214,53 +232,6 @@ def _scan(root, facts: ProgramFacts) -> list[_Body]:
     return loops
 
 
-def _summarize(root, facts: ProgramFacts) -> Iterator[tuple[For, LoopSummary]]:
-    """Each loop under ``root`` with its summary over ``facts.arrays``, in
-    pre-order."""
-    sizes = {a.name: a.size for a in facts.arrays}
-    for rec in _scan(root, facts):
-        loop, it = rec.loop, rec.loop.iterator
-        accessed = {a for a, _ in rec.accesses}
-        bound = loop_bound(loop)
-        full = (  # full_array_access's list; a nested loop over `it` puts it in varying
-            bound is not None and bound.start == 0 and bound.step == 1
-            and bool(accessed) and all(sizes.get(a) == len(bound) for a in accessed)
-            and {index for _, index in rec.accesses} == {it}
-            and not (rec.owns_jump or rec.nested)
-            and it not in rec.const and it not in rec.varying
-        )
-        defs = rec.varying - {it}
-        defs |= {a for a, index in rec.writes if index != it}
-        for name in rec.const - rec.varying - {it}:
-            # A constant assignment leaves no iteration dependence only when
-            # it dominates every use within an iteration.
-            if not _const_def_dominates(loop.body, name):
-                defs.add(name)
-        yield loop, LoopSummary(
-            full, defs, bound,
-            [a.name for a in facts.arrays if a.name in accessed],
-            rec.owns_jump,
-        )
-
-
-def full_array_access(loop: For, arrays: list[ArrayInfo]) -> bool:
-    """Conservative check that the loop's iterator takes every index 0..K-1 of
-    every array the loop accesses.
-
-    That is all the full-access branch of ``transform_loop`` and rule l1 need:
-    the rewrite runs the body once with the iterator pinned to the witness
-    index, which is one of the original's iterations. Whether an access runs
-    at that index is left to the guards in the body, which the rewrite keeps;
-    ``if (i == 0) { x = a[i]; }`` reads only ``a[0]`` and still counts.
-
-    Requires: unit-step ``for(i=0; i<K; i++)`` (or ``i<=K-1``) with constant
-    K; every accessed array sized exactly K; every access indexed by the bare
-    iterator; no break/continue or iterator assignment in the body; no nested
-    loop over the same arrays. Any miss returns False.
-    """
-    return next(_summarize(loop, ProgramFacts(arrays)))[1].full_access
-
-
 def _const_def_dominates(body, name: str) -> bool:
     """True when a top-level constant assignment to ``name`` precedes every
     other mention of ``name`` in the body. Conservative: anything unclear
@@ -275,20 +246,32 @@ def _const_def_dominates(body, name: str) -> bool:
     return False
 
 
-def loop_defs(loop: For) -> set[str]:
-    """Over-approximated set of variables (incl. arrays) the loop modifies.
-
-    Scalars assigned in the body are included unless every assignment to them
-    has a constant right-hand side that dominates all their uses in the body;
-    the iterator is never included; an array is included when some write uses
-    an index not syntactically equal to the iterator.
-    """
-    return next(_summarize(loop, ProgramFacts([])))[1].defs
-
-
 def analyze_program(p: Program) -> ProgramFacts:
     """The array inventory, a summary for every loop and the per-statement
     tables of ``p``, from one scan of the body."""
-    facts = ProgramFacts(collect_arrays(p))
-    facts.summaries = {loop.loc: s for loop, s in _summarize(p.body, facts)}
+    facts = ProgramFacts(_collect_arrays(p))
+    sizes = {a.name: a.size for a in facts.arrays}
+    for rec in _scan(p.body, facts):
+        loop, it = rec.loop, rec.loop.iterator
+        accessed = {a for a, _ in rec.accesses}
+        bound = loop_bound(loop)
+        full = (  # LoopSummary's list; a nested loop over `it` puts it in varying
+            bound is not None and bound.start == 0 and bound.step == 1
+            and bool(accessed) and all(sizes.get(a) == len(bound) for a in accessed)
+            and {index for _, index in rec.accesses} == {it}
+            and not (rec.owns_jump or rec.nested)
+            and it not in rec.const and it not in rec.varying
+        )
+        defs = rec.varying - {it}
+        defs |= {a for a, index in rec.writes if index != it}
+        for name in rec.const - rec.varying - {it}:
+            # A constant assignment leaves no iteration dependence only when
+            # it dominates every use within an iteration.
+            if not _const_def_dominates(loop.body, name):
+                defs.add(name)
+        facts.summaries[loop.loc] = LoopSummary(
+            full, defs, bound,
+            [a.name for a in facts.arrays if a.name in accessed],
+            rec.owns_jump,
+        )
     return facts

@@ -331,9 +331,3 @@ def mentions(node, name: str) -> bool:
         or (isinstance(n, For) and n.iterator == name)
         for n in walk(node)
     )
-
-
-def arrays_accessed(node) -> set[str]:
-    """Names of arrays read or written anywhere under ``node``."""
-    return {n.array for n in walk(node) if isinstance(n, ArrayAccess)}
-

@@ -62,10 +62,23 @@ def _parse_domain(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _io_error(verb: str, path: str, e: OSError | UnicodeDecodeError) -> int:
-    reason = getattr(e, "strerror", None) or e
-    print(f"error: cannot {verb} {path}: {reason}", file=sys.stderr)
-    return 2
+class CliError(Exception):
+    """A usage error, or a file that cannot be read or written."""
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path) as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from None
+
+
+def _write(path: str, content: str) -> None:
+    try:
+        _atomic_write(path, content)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,108 +132,76 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
 
-    if args.oracle and args.array_size is None:
-        print("error: --oracle requires --array-size", file=sys.stderr)
-        return 2
-    if args.array_size is not None and not args.oracle:
-        print("error: --array-size requires --oracle", file=sys.stderr)
-        return 2
-    if args.array_size is not None and args.array_size < 1:
-        print("error: --array-size must be positive", file=sys.stderr)
-        return 2
-    if args.oracle and args.array_size > MAX_ORACLE_SIZE:
-        print(
-            f"error: --oracle requires --array-size <= {MAX_ORACLE_SIZE}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.bmc and not args.output:
-        print("error: --bmc requires -o/--output", file=sys.stderr)
-        return 2
-
     try:
-        with open(args.input) as f:
-            source = f.read()
-    except (OSError, UnicodeDecodeError) as e:
-        return _io_error("read", args.input, e)
+        if args.oracle and args.array_size is None:
+            raise CliError("--oracle requires --array-size")
+        if args.array_size is not None and not args.oracle:
+            raise CliError("--array-size requires --oracle")
+        if args.array_size is not None and args.array_size < 1:
+            raise CliError("--array-size must be positive")
+        if args.oracle and args.array_size > MAX_ORACLE_SIZE:
+            raise CliError(f"--oracle requires --array-size <= {MAX_ORACLE_SIZE}")
+        if args.bmc and not args.output:
+            raise CliError("--bmc requires -o/--output")
 
-    try:
-        program = parse(source)
+        program = parse(_read(args.input))
         facts = analyze_program(program)
         result = transform_with_info(program, facts)
-    except (ParseError, TransformError) as e:
+        if args.output:
+            _write(args.output, emit_verifiable(result.program, EmitConfig(args.nd_style)))
+
+        verdicts = classify_all(program, facts)
+        if args.report:
+            _write(args.report, emit_report(facts, verdicts))
+        if args.check_precision:
+            for v in verdicts:
+                if v.precise:
+                    print(f"assertion at location {v.assertion_loc}: precise")
+                else:
+                    rules = ", ".join(sorted({r.rule for r in v.violated_rules}))
+                    print(
+                        f"assertion at location {v.assertion_loc}: imprecise "
+                        f"({rules})"
+                    )
+
+        status = 0
+        if args.oracle:
+            cfg = OracleConfig(
+                value_domain=args.value_domain,
+                array_size_override=args.array_size,
+            )
+            try:
+                # The override is set, so the transform is re-derived at that size.
+                diff = differential_check(program, cfg=cfg)
+            except RecursionError:  # the oracle recurses once per choice point
+                raise CliError("oracle: too many choices in one run") from None
+            print(f"original:    {diff.orig_verdict.outcome}")
+            print(f"transformed: {diff.trans_verdict.outcome}")
+            print(f"sound: {'yes' if diff.sound else 'NO'}")
+            if diff.precise_consistent is not None:
+                print(
+                    "precise-consistent: "
+                    f"{'yes' if diff.precise_consistent else 'NO'}"
+                )
+            if not diff.sound or diff.precise_consistent is False:
+                status = 1
+
+        if args.bmc and status == 0:
+            bmc = os.environ.get("BMC_BIN")
+            if not bmc or shutil.which(bmc) is None:
+                print("warning: BMC_BIN not set or not executable; skipping "
+                      "pass-through", file=sys.stderr)
+            else:
+                try:
+                    proc = subprocess.run([bmc, args.output], timeout=BMC_TIMEOUT_S)
+                except subprocess.TimeoutExpired:
+                    raise CliError(f"{bmc} did not finish within {BMC_TIMEOUT_S} s") from None
+                print(f"bmc exit status: {proc.returncode}")
+                status = proc.returncode
+        return status
+    except (CliError, ParseError, TransformError, EmitError, OracleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    if args.output:
-        try:
-            text = emit_verifiable(result.program, EmitConfig(args.nd_style))
-        except EmitError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        try:
-            _atomic_write(args.output, text)
-        except OSError as e:
-            return _io_error("write", args.output, e)
-
-    verdicts = classify_all(program, facts)
-    if args.report:
-        try:
-            _atomic_write(args.report, emit_report(facts, verdicts))
-        except OSError as e:
-            return _io_error("write", args.report, e)
-    if args.check_precision:
-        for v in verdicts:
-            if v.precise:
-                print(f"assertion at location {v.assertion_loc}: precise")
-            else:
-                rules = ", ".join(sorted({r.rule for r in v.violated_rules}))
-                print(
-                    f"assertion at location {v.assertion_loc}: imprecise "
-                    f"({rules})"
-                )
-
-    status = 0
-    if args.oracle:
-        cfg = OracleConfig(
-            value_domain=args.value_domain,
-            array_size_override=args.array_size,
-        )
-        try:
-            # The override is set, so the transform is re-derived at that size.
-            diff = differential_check(program, cfg=cfg)
-        except OracleError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        except RecursionError:  # the oracle recurses once per choice point
-            print("error: oracle: too many choices in one run", file=sys.stderr)
-            return 2
-        print(f"original:    {diff.orig_verdict.outcome}")
-        print(f"transformed: {diff.trans_verdict.outcome}")
-        print(f"sound: {'yes' if diff.sound else 'NO'}")
-        if diff.precise_consistent is not None:
-            print(
-                "precise-consistent: "
-                f"{'yes' if diff.precise_consistent else 'NO'}"
-            )
-        if not diff.sound or diff.precise_consistent is False:
-            status = 1
-
-    if args.bmc and status == 0:
-        bmc = os.environ.get("BMC_BIN")
-        if not bmc or shutil.which(bmc) is None:
-            print("warning: BMC_BIN not set or not executable; skipping "
-                  "pass-through", file=sys.stderr)
-        else:
-            try:
-                proc = subprocess.run([bmc, args.output], timeout=BMC_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                print(f"error: {bmc} did not finish within {BMC_TIMEOUT_S} s",
-                      file=sys.stderr)
-                return 2
-            print(f"bmc exit status: {proc.returncode}")
-            status = proc.returncode
-    return status
 
 
 def main() -> None:

@@ -33,7 +33,6 @@ class Violation:
 @dataclass
 class ConformanceReport:
     violations: list[Violation] = field(default_factory=list)
-    array_access_count: int = 0
 
     @property
     def conformant(self) -> bool:
@@ -67,13 +66,11 @@ def validate_output_grammar(
         Violation(d.loc, f"array declaration {d.name!r} in output program")
         for d in p.decls if d.kind == ARRAY_INT
     ]
-    accesses = 0
     for node in walk(p.body):
         match node:
             case For(loc=loc) if not node.single_trip:
                 violations.append(Violation(loc, "loop statement in output program"))
             case ArrayAccess(array=name, loc=loc):
-                accesses += 1
                 violations.append(Violation(loc, f"array access to {name!r} in output program"))
     if witness_indices is not None:
         initialized = _init_prefix_targets(p)
@@ -83,4 +80,4 @@ def validate_output_grammar(
                     p.body.loc,
                     f"witness index {name!r} is not initialized by a leading nd(lo, hi)",
                 ))
-    return ConformanceReport(violations, accesses)
+    return ConformanceReport(violations)

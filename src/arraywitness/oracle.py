@@ -670,15 +670,6 @@ def replay_trace(
     return _drive(p, cfg, script=list(choices))
 
 
-def collect_final_states(p: Program, cfg: OracleConfig | None = None) -> list[dict]:
-    """Final states of all completed runs (the program must be safe)."""
-    states: list[dict] = []
-    verdict = enumerate_runs(p, cfg, on_complete=states.append)
-    if not verdict.safe:
-        raise OracleError("program is unsafe; no complete run census available")
-    return states
-
-
 def differential_check(
     original: Program,
     transformed: Program | None = None,

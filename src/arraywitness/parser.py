@@ -76,7 +76,15 @@ MAX_DEPTH = 100
 # Literals and array sizes must fit the emitted C's 32-bit ``int``.
 INT_MAX = 2**31 - 1
 
-KEYWORDS = {"int", "unsigned", "main", "if", "else", "for", "assert", "break", "continue"}
+# No identifier may be a C11 keyword (C11 6.4.1) or gcc's GNU ``asm`` and
+# ``typeof``, which the emitted C could not declare, nor ``main`` or ``assert``.
+KEYWORDS = frozenset("""
+    auto break case char const continue default do double else enum extern float
+    for goto if inline int long register restrict return short signed sizeof static
+    struct switch typedef union unsigned void volatile while _Alignas _Alignof
+    _Atomic _Bool _Complex _Generic _Imaginary _Noreturn _Static_assert
+    _Thread_local asm typeof main assert
+""".split())
 
 
 def tokenize(source: str) -> list[Token]:
@@ -108,6 +116,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.kinds: dict[str, str] = {}  # declared name -> SCALAR_INT or ARRAY_INT
+        self.loops = 0  # the for statements open around the next token
 
     # -- token plumbing ----------------------------------------------------
 
@@ -236,12 +245,12 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             return Assert(cond)
-        if self.accept("break"):
+        if self.at("break") or self.at("continue"):
+            if not self.loops:
+                self.error(f"{tok.text!r} outside a loop")
+            self.next()
             self.expect(";")
-            return Break()
-        if self.accept("continue"):
-            self.expect(";")
-            return Continue()
+            return Break() if tok.text == "break" else Continue()
         if self.accept("("):
             # (cond) ? target = value : discard;
             cond = self.expression()
@@ -308,7 +317,9 @@ class _Parser:
             self.expect("=")
             step = self.expression()
         self.expect(")")
+        self.loops += 1
         body = self.statement()
+        self.loops -= 1
         return For(iterator, init, test, step, body)
 
     # -- expressions -------------------------------------------------------

@@ -348,7 +348,7 @@ def classify(
         clobbered = [loop for loop in involved if x in summaries[loop.loc].defs]
         if not clobbered and x in facts.iterators:
             # Another loop's iterator is nd-assigned when that loop is
-            # removed, which loop_defs does not record.
+            # removed, which its summary's defs do not record.
             clobbered = [s_a]
         if clobbered and not _def_before_use_ok(s_a, x):
             violations.append(

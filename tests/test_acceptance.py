@@ -21,7 +21,6 @@ from arraywitness import (
     emit_verifiable,
     generate_program,
     loop_bound,
-    loop_defs,
     parse,
     transform_program,
     transform_with_info,
@@ -174,14 +173,14 @@ def test_criterion_6_analysis_unit_facts():
     fig7 = load_fixture("fig7.c")
     facts = [
         ArrayInfo("a", 100000, "x_a", "i_a").lastof == 99999,
-        loop_defs(loops_of(fig1)[0]) == {"k"},
+        analyze_program(fig1).summaries[loops_of(fig1)[0].loc].defs == {"k"},
         all(loop_bound(l) == range(0, 50000) for l in loops_of(fig7)),
         all(s.full_access for s in analyze_program(fig1).summaries.values()),
         not any(s.full_access for s in analyze_program(fig7).summaries.values()),
         classify_program(fig1) is True,
         classify_program(fig7) is False,
     ]
-    _report(6, all(facts), "lastof/loop_defs/loop_bound/full_access unit facts")
+    _report(6, all(facts), "lastof/defs/loop_bound/full_access unit facts")
 
 
 def test_criterion_7_bmc_pass_through(tmp_path):

@@ -1,13 +1,11 @@
-from arraywitness import (
-    analyze_program,
-    collect_arrays,
-    full_array_access,
-    loop_bound,
-    loop_defs,
-    parse,
-)
+from arraywitness import analyze_program, loop_bound, parse
 from arraywitness.analysis import ArrayInfo
 from arraywitness.astnodes import loops_of
+
+
+def summaries(p):
+    """Each loop's summary, in program order."""
+    return list(analyze_program(p).summaries.values())
 
 
 def test_lastof_values():
@@ -17,7 +15,7 @@ def test_lastof_values():
 
 
 def test_collect_arrays_names(fig1):
-    arrays = collect_arrays(fig1)
+    arrays = analyze_program(fig1).arrays
     assert [(a.name, a.size) for a in arrays] == [("a_p", 100000), ("a_q", 100000)]
     assert arrays[0].witness_var == "x_a_p"
     assert arrays[0].witness_idx == "i_a_p"
@@ -25,26 +23,26 @@ def test_collect_arrays_names(fig1):
 
 def test_collect_arrays_renames_on_collision():
     p = parse("int a[4];\nint x_a, i;\nmain() { for (i = 0; i < 4; i++) { a[i] = 0; } }")
-    (info,) = collect_arrays(p)
+    (info,) = analyze_program(p).arrays
     assert info.witness_var != "x_a"
     assert info.witness_var.startswith("x_a")
 
 
 def test_fig1_first_loop_defs(fig1):
-    loop = loops_of(fig1)[0]
-    assert loop_defs(loop) == {"k"}
+    assert summaries(fig1)[0].defs == {"k"}
 
 
 def test_iterator_never_in_defs(fig1, fig5, fig7):
     for p in (fig1, fig5, fig7):
+        facts = analyze_program(p)
         for loop in loops_of(p):
-            assert loop.iterator not in loop_defs(loop)
+            assert loop.iterator not in facts.summaries[loop.loc].defs
 
 
 def test_defs_include_non_iterator_array_writes(fig7):
     # a is written at i + 50000, so it stays in defs; b is only written at
     # the iterator index and is covered by the replayed body.
-    assert loop_defs(loops_of(fig7)[0]) == {"a", "x", "y"}
+    assert summaries(fig7)[0].defs == {"a", "x", "y"}
 
 
 def test_const_rhs_dominating_def_excluded():
@@ -52,7 +50,7 @@ def test_const_rhs_dominating_def_excluded():
         "int i, k;\nint a[4];\n"
         "main() { for (i = 0; i < 4; i++) { k = 2; a[i] = k; } }"
     )
-    assert "k" not in loop_defs(loops_of(p)[0])
+    assert "k" not in summaries(p)[0].defs
 
 
 def test_const_rhs_after_use_still_counts():
@@ -60,7 +58,7 @@ def test_const_rhs_after_use_still_counts():
         "int i, k;\nint a[4];\n"
         "main() { for (i = 0; i < 4; i++) { a[i] = k; k = 2; } }"
     )
-    assert "k" in loop_defs(loops_of(p)[0])
+    assert "k" in summaries(p)[0].defs
 
 
 def test_fig7_loop_bounds(fig7):
@@ -84,18 +82,15 @@ def test_loop_bound_unknown():
 
 
 def test_fig1_loops_full_access(fig1):
-    arrays = collect_arrays(fig1)
-    assert all(full_array_access(l, arrays) for l in loops_of(fig1))
+    assert all(s.full_access for s in summaries(fig1))
 
 
 def test_fig5_loops_full_access(fig5):
-    arrays = collect_arrays(fig5)
-    assert all(full_array_access(l, arrays) for l in loops_of(fig5))
+    assert all(s.full_access for s in summaries(fig5))
 
 
 def test_fig7_loops_not_full_access(fig7):
-    arrays = collect_arrays(fig7)
-    assert not any(full_array_access(l, arrays) for l in loops_of(fig7))
+    assert not any(s.full_access for s in summaries(fig7))
 
 
 def test_full_access_requires_iterator_index():
@@ -103,7 +98,7 @@ def test_full_access_requires_iterator_index():
         "int i;\nint a[4];\n"
         "main() { for (i = 0; i < 4; i++) { a[0] = i; } }"
     )
-    assert not full_array_access(loops_of(p)[0], collect_arrays(p))
+    assert not summaries(p)[0].full_access
 
 
 def test_full_access_requires_matching_sizes():
@@ -111,12 +106,12 @@ def test_full_access_requires_matching_sizes():
         "int i;\nint a[4], b[2];\n"
         "main() { for (i = 0; i < 4; i++) { a[i] = 0; b[0] = 0; } }"
     )
-    assert not full_array_access(loops_of(p)[0], collect_arrays(p))
+    assert not summaries(p)[0].full_access
 
 
 def test_full_access_false_without_arrays():
     p = parse("int i, k;\nmain() { for (i = 0; i < 4; i++) { k = i; } }")
-    assert not full_array_access(loops_of(p)[0], collect_arrays(p))
+    assert not summaries(p)[0].full_access
 
 
 def test_analyze_program_summaries(fig7):

@@ -83,17 +83,28 @@ def test_oracle_mixed_sizes_cannot_be_overridden(capsys):
     # out of bounds, which is reported as a usage error.
     status = run(["transform", FIG7_SMALL, "--oracle", "--array-size", "4"])
     assert status == 2
-    assert "out of bounds" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: index 4 out of bounds for a[4] at location 36\n"
 
 
 def test_missing_file_exit_two(capsys):
     assert run(["transform", "no-such-file.c"]) == 2
+    assert capsys.readouterr().err == "error: cannot read no-such-file.c: No such file or directory\n"
 
 
 def test_parse_error_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.c"
     bad.write_text("int x;\nmain() { x = ; }")
     assert run(["transform", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: 2:14: expected expression, found ';'\n"
+
+
+def test_transformed_construct_in_input_is_an_error(tmp_path, capsys):
+    src = tmp_path / "nd.c"
+    src.write_text("int x;\nmain() { x = nd(); }")
+    assert run(["transform", str(src)]) == 2
+    assert capsys.readouterr().err == (
+        "error: construct Nd at location 5 is only valid in already-transformed programs\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -209,6 +220,32 @@ def test_stub_leaves_other_library_names_free(tmp_path, name):
     assert gcc.returncode == 0, gcc.stderr
 
 
+def test_break_outside_a_loop_is_an_error(tmp_path, capsys):
+    # gcc rejects the emitted C: "break statement not within loop or switch".
+    src = tmp_path / "break.c"
+    src.write_text("int x;\nmain() { break; }")
+    assert run(["transform", str(src), "-o", str(tmp_path / "out.c")]) == 2
+    assert capsys.readouterr().err == "error: 2:10: 'break' outside a loop\n"
+    assert not (tmp_path / "out.c").exists()
+
+
+def test_c_keyword_is_refused_as_a_name(tmp_path, capsys):
+    # gcc rejects a variable named while in the emitted C; bool is a keyword
+    # only from C23 on, so gcc's default mode and -std=c99 accept it.
+    src, out = tmp_path / "kw.c", tmp_path / "out.c"
+    src.write_text("int while, i;\nmain() { i = input(); assert(i == 0); }\n")
+    assert run(["transform", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: 1:5: expected identifier, found 'while'\n"
+    assert not out.exists()
+    src.write_text("int bool, i;\nmain() { i = input(); assert(i == bool); }\n")
+    assert run(["transform", str(src), "-o", str(out), "--nd-style", "stub"]) == 0
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc not available")
+    gcc = subprocess.run(["gcc", "-std=c99", "-c", "-o", str(tmp_path / "out.o"), str(out)],
+                         capture_output=True, text=True)
+    assert gcc.returncode == 0, gcc.stderr
+
+
 def test_name_error_is_one_line_at_the_identifier(tmp_path, capsys):
     src = tmp_path / "undeclared.c"
     src.write_text("int i;\nmain() { i = 0;\n  i = i + k; }\n")
@@ -225,14 +262,22 @@ def test_array_size_requires_oracle(tmp_path, capsys):
 
 def test_oracle_requires_array_size(capsys):
     assert run(["transform", FIG1, "--oracle"]) == 2
+    assert capsys.readouterr().err == "error: --oracle requires --array-size\n"
 
 
 def test_oracle_size_cap(capsys):
     assert run(["transform", FIG1, "--oracle", "--array-size", "100"]) == 2
+    assert capsys.readouterr().err == "error: --oracle requires --array-size <= 8\n"
+
+
+def test_oracle_array_size_must_be_positive(capsys):
+    assert run(["transform", FIG1, "--oracle", "--array-size", "0"]) == 2
+    assert capsys.readouterr().err == "error: --array-size must be positive\n"
 
 
 def test_bmc_requires_output(capsys):
     assert run(["transform", FIG1, "--bmc"]) == 2
+    assert capsys.readouterr().err == "error: --bmc requires -o/--output\n"
 
 
 def test_bmc_missing_binary_warns(tmp_path, capsys, monkeypatch):

@@ -107,6 +107,10 @@ def test_unknown_name_rejected():
 ], ids=["undeclared-scalar", "undeclared-array", "indexed-scalar", "array-read",
         "array-iterator", "array-chain-target", "duplicate"])
 def test_name_error_points_at_its_identifier(text, message):
+    _assert_error_at_backquote(text, message)
+
+
+def _assert_error_at_backquote(text, message):
     before, after = text.split("`")
     with pytest.raises(ParseError) as info:
         parse(before + after)
@@ -122,6 +126,34 @@ def test_reserved_identifier_rejected(decls):
     # emitted harness declares its temporaries and helpers there.
     with pytest.raises(ParseError, match=r"^2:\d+: identifier '__\w+' is reserved$"):
         parse(f"int x;\n{decls}\nmain() {{ x = 0; }}")
+
+
+@pytest.mark.parametrize("name", [
+    "while", "return", "static", "char", "sizeof", "do", "auto", "signed", "inline",
+    "restrict", "_Bool", "_Static_assert", "asm", "typeof",
+])
+def test_c_keyword_is_not_an_identifier(name):
+    # gcc rejects a declaration of any of these names in the emitted C.
+    with pytest.raises(ParseError, match=rf"^1:5: expected identifier, found '{name}'$"):
+        parse(f"int {name}, i;\nmain() {{ i = 0; }}")
+
+
+def test_names_outside_the_c_keywords_stay_free():
+    # bool and true are keywords only from C23 on, and NULL is a macro that
+    # the emitted C's one header, <assert.h>, does not define.
+    p = parse("int bool, true, NULL;\nmain() { bool = true; NULL = bool; }")
+    assert [d.name for d in p.decls] == ["bool", "true", "NULL"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("int x;\nmain() { `break; }", "'break' outside a loop"),
+    ("int x;\nmain() { x = 0; if (x == 0) { `continue; } }", "'continue' outside a loop"),
+    ("int i;\nmain() { for (i = 0; i < 2; i++) { break; } `continue; }",
+     "'continue' outside a loop"),
+], ids=["break-in-main", "continue-under-if", "continue-after-loop"])
+def test_break_or_continue_outside_a_loop_is_an_error(text, message):
+    # C rejects it: "break statement not within loop or switch".
+    _assert_error_at_backquote(text, message)
 
 
 def test_syntax_error_has_position():
