@@ -5,8 +5,9 @@ Enumerates every combination of nondeterministic choices (``nd()``,
 first failure found is the lexicographically smallest witness. Serves as the
 ground truth for the differential soundness and precision checks.
 
-Choice-free expressions, and loops that make no choice and hold no break or
-continue, run as compiled closures that count the steps the work stack would.
+Loops run from their constant ranges (any other loop is refused at set-up): as
+a compiled closure, like choice-free expressions, when the loop makes no choice
+and holds no break or continue, else as one work-stack item per iteration.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .analysis import ARRAY_INT, analyze_program, loop_bound
+from .analysis import ARRAY_INT, _read_var, analyze_program, loop_bound
 from .astnodes import (
     ArrayAccess,
     Assert,
@@ -165,9 +166,9 @@ def _binop_closure(op: str, f, g, loc: int) -> Callable[[dict], int]:
 def scale_arrays(p: Program, new_size: int) -> Program:
     """Copy of ``p`` with every array resized to ``new_size``.
 
-    Constants equal to an original array size (or size minus one) are
-    rewritten accordingly, so constant loop bounds and last-index literals
-    track the new size. Ambiguous constant mappings are rejected.
+    Loop-test bounds and whole index literals (``a[N-1]``) equal to an original
+    size, or size minus one, track the new size. No other constant changes (not
+    a step, not scalar arithmetic, never a 0). Ambiguous mappings are rejected.
     """
     q = clone(p)
     mapping: dict[int, int] = {}
@@ -182,9 +183,12 @@ def scale_arrays(p: Program, new_size: int) -> Program:
                 )
             mapping[old] = new
         d.size = new_size
-    for node in walk(q.body):
-        if isinstance(node, Const) and node.value in mapping:
-            node.value = mapping[node.value]
+    mapping.pop(0, None)  # a 1-cell array's last index is also its first
+    sites = [n.index if isinstance(n, ArrayAccess) else n.test.rhs for n in walk(q.body)
+             if isinstance(n, ArrayAccess) or isinstance(n, For) and isinstance(n.test, BinOp)]
+    for c in sites:
+        if isinstance(c, Const) and c.value in mapping:
+            c.value = mapping[c.value]
     return q
 
 
@@ -230,14 +234,18 @@ class _Machine:
         # makes a nondeterministic choice. Keyed by node identity, so the
         # machine holds on to the program whose nodes the keys name.
         self._program = p
+        self._sizes = {d.name: d.size for d in p.decls}
         self._det: dict[int, Callable[[dict], int] | None] = {}
+        # Each loop's range, the body items a true test pushes and their steps.
+        self._loops: dict[int, tuple[range, list, int]] = {}
         for node in walk(p.body):
             if isinstance(node, _EXPR_TYPES):
                 self._compile(node)
-            elif isinstance(node, For) and loop_bound(node) is None:
-                raise NonConstantBound(
-                    f"loop at location {node.loc} has a non-constant bound"
-                )
+            elif isinstance(node, For):
+                if (r := loop_bound(node)) is None:
+                    raise NonConstantBound(f"loop at location {node.loc} has a non-constant bound")
+                items = node.body.stmts[::-1] if isinstance(node.body, Block) else [node.body]
+                self._loops[id(node)] = (r, items, 1 + isinstance(node.body, Block))
         self._stmts: dict = {}  # loops' closures, compiled when first reached
 
     def _compile(self, e) -> Callable[[dict], int] | None:
@@ -264,10 +272,9 @@ class _Machine:
             case Read(Var(name)):
                 return lambda state: state[name]
             case Read(ArrayAccess(array, index)):
-                idx = self._compile(index)
-                if idx is None:
+                if self._compile(index) is None:
                     return None
-                return self._read_closure(array, idx, e.loc)
+                return self._read_closure(array, index, e.loc)
             case BinOp(op, lhs, rhs):
                 f, g = self._compile(lhs), self._compile(rhs)
                 if f is None or g is None:
@@ -280,14 +287,16 @@ class _Machine:
                 return lambda state: t(state) if c(state) != 0 else o(state)
         raise OracleError(f"cannot evaluate {type(e).__name__} deterministically")
 
-    def _read_closure(self, array: str, idx, loc: int) -> Callable[[dict], int]:
-        notify = self.on_array_access
+    def _read_closure(self, array: str, index, loc: int) -> Callable[[dict], int]:
+        # An index that is a plain variable is read directly.
+        var, idx, notify = _read_var(index), self._det[id(index)], self.on_array_access
+        size = self._sizes[array]
 
         def read(state):
-            i = idx(state)
+            i = state[var] if var else idx(state)
             arr = state[array]
-            if not 0 <= i < len(arr):
-                raise _out_of_bounds(array, i, len(arr), loc)
+            if not 0 <= i < size:
+                raise _out_of_bounds(array, i, size, loc)
             if notify is not None:
                 notify(array, i)
             return arr[i]
@@ -304,21 +313,27 @@ class _Machine:
             case Block(stmts):
                 runs = [self._compile_stmt(x) for x in stmts]
                 return None if None in runs else self._ticked(runs)
-            case For(iterator=it, body=body) if (run := self._compile_stmt(body)):
-                # __init__ rejected every header that its range does not describe.
-                r = loop_bound(s)
+            case For(iterator=it):
+                # The body block's statements run inline. The first one's budget check
+                # covers the steps before it, so an empty body stays on the work stack.
+                r, items, head = self._loops[id(s)]
+                runs = [self._compile_stmt(x) for x in reversed(items)]
+                if None in runs or not runs:
+                    return None
                 start, stop, step = r.start, r.stop, r.step
 
                 def loop(state):
-                    state[it], ticks = start, 1  # the first test
+                    state[it], ticks = start, head + 1  # the test, the body block, a statement
                     while state[it] < stop:
-                        m.steps += ticks + 1  # the test and the body
-                        if m.steps > limit:
-                            raise _over_budget(limit)
-                        run(state)
+                        for run in runs:
+                            m.steps += ticks
+                            if m.steps > limit:
+                                raise _over_budget(limit)
+                            ticks = 1
+                            run(state)
                         state[it] += step
-                        ticks = 2  # the increment and the next test
-                    m.steps += ticks
+                        ticks = head + 2  # the increment too
+                    m.steps += ticks - head  # the increment, if any, and the final test
                     if m.steps > limit:
                         raise _over_budget(limit)
 
@@ -331,14 +346,15 @@ class _Machine:
             case Assign(Var(name), value) if (val := det[id(value)]) is not None:
                 return lambda state: operator.setitem(state, name, val(state))
             case Assign(ArrayAccess(array, index), value):
-                idx, val, notify = det[id(index)], det[id(value)], self.on_array_access
+                var, idx, val = _read_var(index), det[id(index)], det[id(value)]
+                notify, size = self.on_array_access, self._sizes[array]
                 if idx is None or val is None:
                     return None
 
                 def store(state):
-                    i, arr = idx(state), state[array]
-                    if not 0 <= i < len(arr):
-                        raise _out_of_bounds(array, i, len(arr), s.loc)
+                    i, arr = (state[var] if var else idx(state)), state[array]
+                    if not 0 <= i < size:
+                        raise _out_of_bounds(array, i, size, s.loc)
                     arr[i] = val(state)
                     if notify is not None:
                         notify(array, i)
@@ -471,21 +487,20 @@ class _Machine:
     # execution through recursion (i.e. the caller must stop this frame).
 
     def _exec_marker(self, item, work, state, choices) -> bool:
-        kind, loop = item
-        if kind == "inc":
-            return self._assign_scalar(loop.iterator, loop.step, work, state, choices)
-        # kind == "test": a true test queues one iteration then retests.
-        test = self._det[id(loop.test)]
-        if test is not None:
-            if test(state) != 0:
-                work += [item, ("inc", loop), loop.body]
-            return False
-        for v, ch in self.eval(loop.test, state, choices):
-            w = list(work)
-            if v != 0:
-                w += [item, ("inc", loop), loop.body]
-            self.run(w, _copy_state(state), ch)
-        return True
+        """Run a ``("next", loop)`` marker: increment, and in range push it back under
+        the body. The test and body block count here under one check: neither can fail."""
+        loop = item[1]
+        r, items, head = self._loops[id(loop)]
+        state[loop.iterator] += r.step
+        if state[loop.iterator] < r.stop:
+            work.append(item)
+            work += items
+            self.steps += head
+        else:
+            self.steps += 1
+        if self.steps > self.cfg.max_steps:
+            raise _over_budget(self.cfg.max_steps)
+        return False
 
     def _assign_scalar(self, name, e, work, state, choices) -> bool:
         det = self._det[id(e)]
@@ -584,27 +599,27 @@ class _Machine:
                     w = list(work) if taken is None else [*work, taken]
                     self.run(w, _copy_state(state), ch)
                 return True
-            case For(iterator=it, init=init):
+            case For(iterator=it):
                 if id(s) not in self._stmts:
                     self._stmts[id(s)] = self._compile_stmt(s)
                 det = self._stmts[id(s)]
                 if det is not None:  # a choice-free loop runs as one closure
                     det(state)
                     return False
-                if self._assign_scalar(it, init, work + [("test", s)], state, choices):
-                    return True
-                work.append(("test", s))
-                return False
-            case Break():
+                # The For's step stands for the increment to the range's start.
+                init = self._loops[id(s)][0]
+                state[it] = init.start - init.step
+                return self._exec_marker(("next", s), work, state, choices)
+            case Break():  # leaves the loop: pops through its marker
                 while work:
                     item = work.pop()
-                    if isinstance(item, tuple) and item[0] == "test":
+                    if isinstance(item, tuple):
                         break
                 return False
-            case Continue():
+            case Continue():  # ends the iteration: stops at the marker
                 while work:
                     top = work[-1]
-                    if isinstance(top, tuple) and top[0] == "inc":
+                    if isinstance(top, tuple):
                         break
                     work.pop()
                 return False

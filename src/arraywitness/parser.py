@@ -1,10 +1,11 @@
 """Recursive-descent parser for the analyzed C subset.
 
 Concrete syntax: global ``int`` declarations (scalars and 1-D arrays) followed
-by a single ``main() { ... }``. Loop and conditional bodies require braces.
-The target-form constructs (``nd()``, ``nd(l,u)``, ternaries, guarded ternary
-assignments, chained assignments) parse as well so that printed programs
-round-trip. Every identifier is resolved against the declarations where it is
+by a single ``main() { ... }``. A loop or conditional body is one statement,
+braced or not; a dangling ``else`` binds to the nearest ``if``, as in C, and
+print/parse round trips both forms. The target-form constructs (``nd()``,
+``nd(l,u)``, ternaries, guarded ternary assignments, chained assignments)
+parse as well so that printed programs round-trip. Every identifier is resolved against the declarations where it is
 read, so a name error carries the position of its token.
 """
 

@@ -86,6 +86,18 @@ def test_oracle_mixed_sizes_cannot_be_overridden(capsys):
     assert capsys.readouterr().err == "error: index 4 out of bounds for a[4] at location 36\n"
 
 
+def test_oracle_size_override_keeps_steps_and_scalar_constants(tmp_path, capsys):
+    # Safe at every size. Only the loop bound tracks the size: the step of
+    # i++ and the scalar constants equal 2 - 1 but are not indices.
+    src = tmp_path / "s2.c"
+    src.write_text(
+        "int a[2];\nint i, x;\n"
+        "main() { x = 1; for (i = 0; i < 2; i++) { a[i] = x; } assert(x + 1 == 2); }\n"
+    )
+    assert run(["transform", str(src), "--oracle", "--array-size", "4"]) == 0
+    assert capsys.readouterr().out == "original:    safe\ntransformed: safe\nsound: yes\n"
+
+
 def test_missing_file_exit_two(capsys):
     assert run(["transform", "no-such-file.c"]) == 2
     assert capsys.readouterr().err == "error: cannot read no-such-file.c: No such file or directory\n"

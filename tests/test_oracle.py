@@ -108,6 +108,15 @@ def test_non_constant_bound_rejected():
         enumerate_runs(p, SMALL)
 
 
+def test_non_constant_bound_is_rejected_before_any_run():
+    # No run reaches the loop, and no run completes: the check is at set-up.
+    p = parse("int i, n;\nmain() { n = 1; if (n == 0) { for (i = 0; i < n; i++) { n = n; } } }")
+    states = []
+    with pytest.raises(NonConstantBound, match="non-constant bound"):
+        enumerate_runs(p, SMALL, on_complete=states.append)
+    assert states == []
+
+
 def test_out_of_bounds_is_an_error():
     p = parse("int i;\nint a[2];\nmain() { i = 3; a[i] = 0; }")
     with pytest.raises(OracleError, match="out of bounds"):
@@ -199,6 +208,28 @@ def test_scale_arrays_rejects_ambiguity():
     p = parse("int i;\nint a[4], b[5];\nmain() { i = 4; a[0] = 0; b[0] = 0; }")
     with pytest.raises(OracleError, match="ambiguous"):
         scale_arrays(p, 4)
+
+
+def test_scale_arrays_rewrites_only_bounds_and_index_literals():
+    p = parse(
+        "int i, x;\nint a[2];\n"
+        "main() { x = 1; for (i = 0; i < 2; i++) { a[i] = x; } a[1] = a[0] + 2; assert(x + 1 == 2); }"
+    )
+    expected = parse(
+        "int i, x;\nint a[4];\n"
+        "main() { x = 1; for (i = 0; i < 4; i++) { a[i] = x; } a[3] = a[0] + 2; assert(x + 1 == 2); }"
+    )
+    assert scale_arrays(p, 4) == expected
+
+
+def test_scale_arrays_never_remaps_zero():
+    # A 1-cell array's last index is 0: a 0 stays put, whether it is an
+    # index, an init or a bound.
+    p = parse("int i;\nint a[1];\nmain() { for (i = 0; i < 1; i++) { a[i] = 1; } a[0] = 0; }")
+    expected = parse(
+        "int i;\nint a[3];\nmain() { for (i = 0; i < 3; i++) { a[i] = 1; } a[0] = 0; }"
+    )
+    assert scale_arrays(p, 3) == expected
 
 
 def final_states(p, cfg):
@@ -438,3 +469,56 @@ def test_replay_of_a_choice_inside_a_bound():
     with pytest.raises(OracleError) as e:
         replay_trace(p, [5], BIT)
     assert str(e.value) == f"scripted value 5 outside [0, 2] at location {first}"
+
+
+# A loop that makes a choice runs on the work stack: one marker per iteration
+# increments, tests and pushes the body. Each case is safe at domain 0..1 in
+# exactly its step total, with the given number of completed runs; its unsafe
+# twin, when given, has the given witness and step total.
+LOOP_CASES = {
+    "input-in-body": (
+        "int i, k;\nint a[3];\n",
+        "k = 0; for (i = 0; i < 3; i++) { a[i] = input(); k = k + a[i]; } assert(k < %s);",
+        ("4", 68, 8), ("3", [1, 1, 1], 68),
+    ),
+    "body-without-braces": (
+        "int i, k;\n",
+        "k = 0; for (i = 0; i < 3; i++) k = k + input(); assert(k < %s);",
+        ("4", 47, 8), None,
+    ),
+    "continue-and-break": (
+        "int i, k;\n",
+        "k = 0; for (i = 0; i < 4; i++) { k = k + input();"
+        " if (k == 1) { continue; } if (k == 2) { break; } } assert(i %s);",
+        ("< 5", 125, 11), ("!= 2", [0, 1, 1], 83),
+    ),
+    "body-writes-the-iterator": (
+        "int i, k;\n",
+        "for (i = 0; i < 5; i++) { k = input(); i = i + k; } assert(i < %s);",
+        ("7", 112, 13), ("6", [0, 0, 0, 0, 1], 33),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_choiceful_loop_protocol(case):
+    decls, body, (holds, steps, runs), twin = LOOP_CASES[case]
+    p = parse(f"{decls}main() {{ {body % holds} }}")
+    states = []
+    v = enumerate_runs(p, BIT, on_complete=states.append)
+    assert (v.safe, v.steps, len(states)) == (True, steps, runs)
+    assert enumerate_runs(p, OracleConfig(value_domain=(0, 1), max_steps=steps)).safe
+    with pytest.raises(BudgetExceeded):
+        enumerate_runs(p, OracleConfig(value_domain=(0, 1), max_steps=steps - 1))
+    if twin is not None:
+        fails, witness, steps = twin
+        u = enumerate_runs(parse(f"{decls}main() {{ {body % fails} }}"), BIT)
+        assert (u.outcome, u.witness.nd_choices, u.steps) == ("unsafe", witness, steps)
+
+
+def test_access_log_of_compiled_loops(fig5):
+    # fig5's last two loops make no choice, so they run compiled.
+    seen = []
+    v = enumerate_runs(scale_arrays(fig5, 2), BIT, on_array_access=lambda a, i: seen.append(f"{a}{i}"))
+    assert (v.safe, v.steps, len(seen)) == (True, 413, 222)
+    assert seen[:10] == "a0 b0 a1 b1 a0 b0 c0 a1 b1 c1".split()

@@ -15,6 +15,7 @@ from arraywitness.astnodes import (
     ChainAssign,
     Decl,
     For,
+    If,
     Input,
     Nd,
     NdRange,
@@ -164,6 +165,20 @@ def test_syntax_error_has_position():
 def test_for_step_must_use_iterator():
     with pytest.raises(ParseError):
         parse("int i, j;\nmain() { for (i = 0; i < 3; j++) { i = 1; } }")
+
+
+def test_bodies_without_braces_round_trip():
+    # The else binds to the nearest if, as in C.
+    p = parse(
+        "int i, k;\nmain() { for (i = 0; i < 3; i++) k = k + i;"
+        " if (k == 1) if (i == 2) k = 1; else k = 2; }"
+    )
+    loop, outer = p.body.stmts
+    assert isinstance(loop, For) and isinstance(loop.body, Assign)
+    inner = outer.then
+    assert outer.orelse is None and isinstance(inner, If)
+    assert isinstance(inner.then, Assign) and isinstance(inner.orelse, Assign)
+    assert parse(print_program(p)) == p
 
 
 def test_locations_are_assigned_preorder():
