@@ -5,13 +5,15 @@ Enumerates every combination of nondeterministic choices (``nd()``,
 first failure found is the lexicographically smallest witness. Serves as the
 ground truth for the differential soundness and precision checks.
 
-Loops run from their constant ranges (any other loop is refused at set-up): as
-a compiled closure, like choice-free expressions, when the loop makes no choice
-and holds no break or continue, else as one work-stack item per iteration.
+Loops run from their constant ranges (any other loop is refused at set-up). A
+loop that makes no choice and holds no break or continue runs as generated
+Python code, compiled once per shape; any other loop runs as one work-stack item
+per iteration, and its choice-free expressions as compiled closures.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -168,7 +170,8 @@ def scale_arrays(p: Program, new_size: int) -> Program:
 
     Loop-test bounds and whole index literals (``a[N-1]``) equal to an original
     size, or size minus one, track the new size. No other constant changes (not
-    a step, not scalar arithmetic, never a 0). Ambiguous mappings are rejected.
+    a step, not scalar arithmetic, never a 0). Ambiguous mappings, and index
+    literals that the new size leaves out of bounds, are rejected.
     """
     q = clone(p)
     mapping: dict[int, int] = {}
@@ -184,19 +187,19 @@ def scale_arrays(p: Program, new_size: int) -> Program:
             mapping[old] = new
         d.size = new_size
     mapping.pop(0, None)  # a 1-cell array's last index is also its first
-    sites = [n.index if isinstance(n, ArrayAccess) else n.test.rhs for n in walk(q.body)
+    sites = [(n, n.index if isinstance(n, ArrayAccess) else n.test.rhs) for n in walk(q.body)
              if isinstance(n, ArrayAccess) or isinstance(n, For) and isinstance(n.test, BinOp)]
-    for c in sites:
+    for n, c in sites:
         if isinstance(c, Const) and c.value in mapping:
             c.value = mapping[c.value]
+        if isinstance(n, ArrayAccess) and isinstance(c, Const) and c.value >= new_size:
+            raise OracleError(f"index literal {c.value} of array {n.array} is not below "
+                              f"the array size override {new_size}")
     return q
 
 
 def _initial_state(p: Program) -> dict:
-    state: dict = {}
-    for d in p.decls:
-        state[d.name] = [0] * d.size if d.kind == ARRAY_INT else 0
-    return state
+    return {d.name: [0] * d.size if d.kind == ARRAY_INT else 0 for d in p.decls}
 
 
 def _flatten(state: dict) -> dict[str, int]:
@@ -246,7 +249,7 @@ class _Machine:
                     raise NonConstantBound(f"loop at location {node.loc} has a non-constant bound")
                 items = node.body.stmts[::-1] if isinstance(node.body, Block) else [node.body]
                 self._loops[id(node)] = (r, items, 1 + isinstance(node.body, Block))
-        self._stmts: dict = {}  # loops' closures, compiled when first reached
+        self._stmts: dict = {}  # loops' generated code, compiled when first reached
 
     def _compile(self, e) -> Callable[[dict], int] | None:
         """Return ``e``'s evaluation closure, or None when ``e`` has a choice.
@@ -302,84 +305,6 @@ class _Machine:
             return arr[i]
 
         return read
-
-    def _compile_stmt(self, s) -> Callable[[dict], None] | None:
-        """Return a closure that runs ``s`` in place on a state, or None when
-        ``s`` makes a choice or holds a break or continue. The closure counts
-        the steps the work stack takes inside ``s`` (the caller counts ``s``),
-        counting together steps with nothing observable between them."""
-        det, m, limit = self._det, self, self.cfg.max_steps
-        match s:
-            case Block(stmts):
-                runs = [self._compile_stmt(x) for x in stmts]
-                return None if None in runs else self._ticked(runs)
-            case For(iterator=it):
-                # The body block's statements run inline. The first one's budget check
-                # covers the steps before it, so an empty body stays on the work stack.
-                r, items, head = self._loops[id(s)]
-                runs = [self._compile_stmt(x) for x in reversed(items)]
-                if None in runs or not runs:
-                    return None
-                start, stop, step = r.start, r.stop, r.step
-
-                def loop(state):
-                    state[it], ticks = start, head + 1  # the test, the body block, a statement
-                    while state[it] < stop:
-                        for run in runs:
-                            m.steps += ticks
-                            if m.steps > limit:
-                                raise _over_budget(limit)
-                            ticks = 1
-                            run(state)
-                        state[it] += step
-                        ticks = head + 2  # the increment too
-                    m.steps += ticks - head  # the increment, if any, and the final test
-                    if m.steps > limit:
-                        raise _over_budget(limit)
-
-                return loop
-            case If(cond, then, orelse) if (test := det[id(cond)]) is not None:
-                runs = [self._compile_stmt(x) for x in (then, orelse) if x is not None]
-                if None not in runs:
-                    yes, no = self._ticked(runs[:1]), self._ticked(runs[1:])
-                    return lambda state: (yes if test(state) != 0 else no)(state)
-            case Assign(Var(name), value) if (val := det[id(value)]) is not None:
-                return lambda state: operator.setitem(state, name, val(state))
-            case Assign(ArrayAccess(array, index), value):
-                var, idx, val = _read_var(index), det[id(index)], det[id(value)]
-                notify, size = self.on_array_access, self._sizes[array]
-                if idx is None or val is None:
-                    return None
-
-                def store(state):
-                    i, arr = (state[var] if var else idx(state)), state[array]
-                    if not 0 <= i < size:
-                        raise _out_of_bounds(array, i, size, s.loc)
-                    arr[i] = val(state)
-                    if notify is not None:
-                        notify(array, i)
-
-                return store
-            case Assert(cond) if (test := det[id(cond)]) is not None:
-                def check(state):
-                    if test(state) == 0:
-                        raise _Fault(s.loc)
-
-                return check
-        return None  # a choice, a break or continue, or a target-only statement
-
-    def _ticked(self, runs: list) -> Callable[[dict], None]:
-        """Closure that counts a step before each of ``runs`` and runs it."""
-        m, limit = self, self.cfg.max_steps
-
-        def block(state):
-            for run in runs:
-                m.steps += 1
-                if m.steps > limit:
-                    raise _over_budget(limit)
-                run(state)
-
-        return block
 
     def _scripted(self, choices: list[int], lo: int, hi: int, loc: int):
         pos = len(choices)
@@ -601,9 +526,9 @@ class _Machine:
                 return True
             case For(iterator=it):
                 if id(s) not in self._stmts:
-                    self._stmts[id(s)] = self._compile_stmt(s)
+                    self._stmts[id(s)] = _LoopSource(self).bind(s)
                 det = self._stmts[id(s)]
-                if det is not None:  # a choice-free loop runs as one closure
+                if det is not None:  # a choice-free loop runs as generated code
                     det(state)
                     return False
                 # The For's step stands for the increment to the range's start.
@@ -624,6 +549,121 @@ class _Machine:
                     work.pop()
                 return False
         raise OracleError(f"cannot execute {type(s).__name__}")
+
+
+class _LoopSource:
+    """Python source for one choice-free loop. Each name and number of the program enters as
+    an argument ``v<k>``, never as text, so loops of one shape share a code object. A nested
+    loop is its own function (CPython refuses over 20 nested loops in one), and an expression
+    is inlined with at most one level of parentheses per node (it refuses over 200)."""
+
+    def __init__(self, machine: _Machine):
+        self.machine, self.det, self.notify = machine, machine._det, machine.on_array_access
+        self.args: list = []
+        self.keys: dict = {}  # a name, or (array,) for its size -> its argument
+        self.arrays: dict[str, str] = {}  # local holding an array's list -> its name's argument
+        self.lines: list[str] = []  # the loop function's body
+
+    def bind(self, loop: For) -> Callable[[dict], None] | None:
+        """The loop, run in place on a state; None if it stays on the work stack."""
+        r, items, head = self.machine._loops[id(loop)]
+        # The local i mirrors the iterator: every write here sets both, and i
+        # is read back from the state after a nested loop, which may write it.
+        self.iterator, pad = loop.iterator, " " * 12
+        it = self.it = self.arg(loop.iterator, loop.iterator)
+        self.lines += [f"        state[{it}] = i = {self.arg(r.start)}",
+                       f"        ticks = {head + 1}", f"        while i < {self.arg(r.stop)}:"]
+        # The first statement counts the test's, the body block's and then the increment's steps.
+        if not items or not all(self.ticked(s, pad, "1" if n else "ticks")
+                                for n, s in enumerate(reversed(items))):
+            return None
+        self.lines += [f"{pad}state[{it}] = i = i + {self.arg(r.step)}",
+                       f"{pad}ticks = {head + 2}", f"        m.steps += ticks - {head}",
+                       "        if m.steps > limit: raise _over_budget(limit)"]
+        params = ", ".join(f"v{k}" for k in range(len(self.args)))
+        source = "\n".join([f"def bind(m, notify, {params}):", "    limit = m.cfg.max_steps",
+                            "    def loop(state):",
+                            *(f"        {a} = state[{n}]" for a, n in self.arrays.items()),
+                            *self.lines, "    return loop"])
+        return _loop_template(source)(self.machine, self.notify, *self.args)
+
+    def arg(self, value, key=None) -> str:  # one per key, a fresh one without
+        if key is None or key not in self.keys:
+            self.args.append(value)
+            self.keys[key] = f"v{len(self.args) - 1}"
+        return self.keys[key]
+
+    def array(self, name: str) -> tuple[str, str, str]:  # its list's local, name and size
+        n = self.arg(name, name)
+        self.arrays["a" + n[1:]] = n
+        return "a" + n[1:], n, self.arg(self.machine._sizes[name], (name,))
+
+    def ticked(self, s, pad: str, ticks: str = "1") -> bool:
+        """Count ``s``'s step, check the budget, append ``s``; False if it needs the work stack."""
+        det, out, inner = self.det, self.lines, pad + "    "
+        out += [f"{pad}m.steps += {ticks}", f"{pad}if m.steps > limit: raise _over_budget(limit)"]
+        match s:
+            case Block(stmts):
+                return all(self.ticked(x, pad) for x in stmts)
+            case For():
+                run = _LoopSource(self.machine).bind(s)
+                out += [f"{pad}{self.arg(run)}(state)", f"{pad}i = state[{self.it}]"]
+                return run is not None
+            case If(cond, then, orelse) if det[id(cond)] is not None:
+                out.append(f"{pad}if {self.expr(cond, True)}:")
+                ok = self.ticked(then, inner)
+                out.append(f"{pad}else:" if orelse is not None else f"{pad}else: pass")
+                return ok and (orelse is None or self.ticked(orelse, inner))
+            case Assign(Var(name), value) if det[id(value)] is not None:
+                alias = "i = " if name == self.iterator else ""
+                out.append(f"{pad}state[{self.arg(name, name)}] = {alias}{self.expr(value)}")
+                return True
+            case Assign(ArrayAccess(array, index), value) if det[id(index)] and det[id(value)]:
+                a, n, size = self.array(array)
+                out += [f"{pad}k = {self.expr(index)}",
+                        f"{pad}if not 0 <= k < {size}: _oob({n}, k, {size}, {self.arg(s.loc)})",
+                        f"{pad}{a}[k] = {self.expr(value)}", f"{pad}if notify: notify({n}, k)"]
+                return True
+            case Assert(cond) if det[id(cond)] is not None:
+                test = self.expr(cond, True)
+                out.append(f"{pad}if not ({test}): raise _Fault({self.arg(s.loc)})")
+                return True
+        return False
+
+    def expr(self, e, test: bool = False, wrap: bool = False) -> str:
+        """``e`` as Python text, an int except in a ``test``, parenthesised for ``wrap``."""
+        match e:
+            case Const(value):
+                return self.arg(value)
+            case Read(Var(name)):
+                return "i" if name == self.iterator else f"state[{self.arg(name, name)}]"
+            case BinOp("/" | "%" as op, lhs, rhs):
+                return f"_apply({op!r}, {self.expr(lhs)}, {self.expr(rhs)}, {self.arg(e.loc)})"
+            case Read(ArrayAccess(array, index)):
+                a, n, size = self.array(array)
+                cell = f"(notify({n}, t), {a}[t])[1]" if self.notify else f"{a}[t]"
+                text = (f"{cell} if 0 <= (t := {self.expr(index)}) < {size} "
+                        f"else _oob({n}, t, {size}, {self.arg(e.loc)})")
+            case BinOp(op, lhs, rhs):
+                logic = {"&&": "and", "||": "or"}.get(op)
+                lhs, rhs = self.expr(lhs, bool(logic), True), self.expr(rhs, bool(logic), True)
+                text = f"{lhs} {logic or op} {rhs}"
+                text = text if test or op in _ARITH else f"1 if {text} else 0"
+            case Ternary(cond, then, orelse):
+                then, orelse = self.expr(then, wrap=True), self.expr(orelse, wrap=True)
+                text = f"{then} if {self.expr(cond, True, True)} else {orelse}"
+        return f"({text})" if wrap else text
+
+
+@functools.lru_cache
+def _loop_template(source: str) -> Callable:
+    """Compile a loop's source once per shape; the result binds its arguments."""
+    exec(compile(source, "<loop>", "exec"), globals(), scope := {})
+    return scope["bind"]
+
+
+def _oob(array: str, i: int, size: int, loc: int):
+    raise _out_of_bounds(array, i, size, loc)
 
 
 def _too_wide(loc: int, max_steps: int) -> BudgetExceeded:

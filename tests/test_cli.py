@@ -98,6 +98,21 @@ def test_oracle_size_override_keeps_steps_and_scalar_constants(tmp_path, capsys)
     assert capsys.readouterr().out == "original:    safe\ntransformed: safe\nsound: yes\n"
 
 
+def test_oracle_size_override_refuses_an_index_literal_it_leaves_out_of_bounds(tmp_path, capsys):
+    # Generated seed 75: a[3] is the last cell and tracks the size, a[2] does
+    # not, so at size 2 it would index past the end.
+    src = tmp_path / "seed75.c"
+    src.write_text("int a[4];\nint k, s;\n"
+                   "main() { s = 3 % 2 % 3; assert(s + a[3] > a[0]); k = a[2]; }\n")
+    assert run(["transform", str(src), "--oracle", "--array-size", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: index literal 2 of array a is not below the array size override 2\n"
+    # At size 3, a[2] is the last cell.
+    assert run(["transform", str(src), "--oracle", "--array-size", "3"]) == 0
+    assert capsys.readouterr().out == "original:    safe\ntransformed: unsafe\nsound: yes\n"
+
+
 def test_missing_file_exit_two(capsys):
     assert run(["transform", "no-such-file.c"]) == 2
     assert capsys.readouterr().err == "error: cannot read no-such-file.c: No such file or directory\n"

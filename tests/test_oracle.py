@@ -17,6 +17,7 @@ from arraywitness.oracle import (
     Trace,
     _c_div,
     _c_mod,
+    _loop_template,
     scale_arrays,
 )
 
@@ -398,11 +399,13 @@ def test_break_and_continue_keep_their_step_total():
 
 # The choice semantics of target-grammar expressions at domain 0..1: the
 # order in which choices are drawn, which of them an operator skips, what an
-# empty nd(lo, hi) does mid-expression, and where a division fails. Each case
-# gives its source, the x (and y, c) of every completed run in order, the
-# step total, and the witness as (choices, failing node, final state) where
-# the failing node is "assert" or "/".
+# empty nd(lo, hi) does mid-expression, and where a division fails; then the
+# same operators in choice-free loops, which run as generated code. Each case
+# gives its source, the final state of every completed run in order, the step
+# total, and the witness as (choices, failing node, final state) where the
+# failing node is "assert", "/" or "%".
 BIT = OracleConfig(value_domain=(0, 1))
+LOOP = "int i, j, k, x;\nmain() { x = input(); "
 CHOICE_CASES = {
     # The second nd's lower bound is itself a choice; nd(2, 1) draws nothing.
     "nested-bound": (
@@ -428,6 +431,54 @@ CHOICE_CASES = {
         "int c, x;\nmain() { c = nd(); (c == 0) ? x = nd(0, 1) : nd(0, 1) + 2 / (nd(0, 1) - 1); }",
         [{"c": 0, "x": 0}, {"c": 0, "x": 1}, {"c": 1, "x": 0}],
         4, ([1, 0, 1], "/", {"c": 1, "x": 0}),
+    ),
+    "loop-and": (
+        LOOP + "k = 0; for (i = 0; i < 3; i++) { if (i > 0 && x == 1) { k = k + i; } }"
+        " assert(k != 3); }",
+        [{"i": 3, "j": 0, "k": 0, "x": 0}], 38, ([1], "assert", {"i": 3, "j": 0, "k": 3, "x": 1}),
+    ),
+    "loop-or": (
+        LOOP + "k = 0; for (i = 0; i < 3; i++) { if (i == 2 || x == 0) { k = k + 1; } }"
+        " assert(k != 3); }",
+        [], 24, ([0], "assert", {"i": 3, "j": 0, "k": 3, "x": 0}),
+    ),
+    "loop-ternary": (
+        LOOP + "k = 0; for (i = 0; i < 4; i++) { k = k + (i < 3 ? x : 0 - x); } assert(k != 2); }",
+        [{"i": 4, "j": 0, "k": 0, "x": 0}], 42, ([1], "assert", {"i": 4, "j": 0, "k": 2, "x": 1}),
+    ),
+    # C truncates towards zero: Python's // and % would give k = -2 and k = 2.
+    "loop-division": (
+        LOOP + "k = 0 - 7 - x; for (i = 0; i < 2; i++) { k = k / 2; } assert(k + 1 != 0); }",
+        [], 14, ([0], "assert", {"i": 2, "j": 0, "k": -1, "x": 0}),
+    ),
+    "loop-modulo": (
+        LOOP + "k = 0 - 7 - x; for (i = 0; i < 2; i++) { k = k % (3 + i); } assert(k + 1 != 0); }",
+        [], 14, ([0], "assert", {"i": 2, "j": 0, "k": -1, "x": 0}),
+    ),
+    "loop-modulo-by-zero": (
+        LOOP + "for (i = 0; i < 3; i++) { k = 7 % (x + 1 - i); } }",
+        [], 10, ([0], "%", {"i": 1, "j": 0, "k": 0, "x": 0}),
+    ),
+    # x = 0 would divide by zero if either guard did not short-circuit.
+    "loop-guarded-division": (
+        LOOP + "k = 0; for (i = 0; i < 3; i++) { if (x != 0 && 6 / x > i) { k = k + 1; }"
+        " if (x == 0 || 6 / x > 9) { k = k + 2; } } assert(k != 3); }",
+        [{"i": 3, "j": 0, "k": 6, "x": 0}], 52, ([1], "assert", {"i": 3, "j": 0, "k": 3, "x": 1}),
+    ),
+    # The generated loop keeps its iterator in a local, which each of these writes.
+    "loop-writes-its-iterator": (
+        LOOP + "k = 0; for (i = 0; i < 6; i++) { i = i + x; k = k + 1; } assert(k != 3); }",
+        [{"i": 6, "j": 0, "k": 6, "x": 0}], 55, ([1], "assert", {"i": 6, "j": 0, "k": 3, "x": 1}),
+    ),
+    "inner-loop-reuses-the-iterator": (
+        LOOP + "k = 0; for (i = 0; i < 6; i++) { k = k + 1; for (i = 2; i < 7; i++) { k = k + x; } }"
+        " assert(k != 6); }",
+        [{"i": 8, "j": 0, "k": 1, "x": 0}], 62, ([1], "assert", {"i": 8, "j": 0, "k": 6, "x": 1}),
+    ),
+    "inner-loop-writes-the-iterator": (
+        LOOP + "k = 0; for (i = 0; i < 6; i++) { for (j = 0; j < 2; j++) { i = i + x; } k = k + i; }"
+        " assert(k != 7); }",
+        [{"i": 6, "j": 2, "k": 15, "x": 0}], 122, ([1], "assert", {"i": 6, "j": 2, "k": 7, "x": 1}),
     ),
 }
 
@@ -522,3 +573,63 @@ def test_access_log_of_compiled_loops(fig5):
     v = enumerate_runs(scale_arrays(fig5, 2), BIT, on_array_access=lambda a, i: seen.append(f"{a}{i}"))
     assert (v.safe, v.steps, len(seen)) == (True, 413, 222)
     assert seen[:10] == "a0 b0 a1 b1 a0 b0 c0 a1 b1 c1".split()
+
+
+# Generated loop code must compile at nesting the parser accepts: CPython
+# refuses more than 20 loops nested in one function and more than 200 nested
+# parentheses. Each program stays within the parser's 100 levels.
+
+
+ITERATORS = [f"i{k}" for k in range(45)]
+NESTED_CASES = {  # source, step total
+    "45-loops": (
+        f"int x, {', '.join(ITERATORS)};\nmain() {{ "
+        + "".join(f"for ({i} = 0; {i} < 1; {i}++) {{ " for i in ITERATORS)
+        + "x = 1; " + "} " * 45 + "assert(x == 1); }", 228,
+    ),
+    "46-ifs-in-a-loop": (
+        "int i, x;\nmain() { for (i = 0; i < 2; i++) { " + "if (x < 9) { " * 46
+        + "x = x + 1; " + "} " * 47 + "assert(x == 2); }", 196,
+    ),
+    "30-reads-in-a-loop": (
+        "int i, x;\nint a[2];\nmain() { for (i = 0; i < 2; i++) { x = " + "a[" * 29
+        + "a[i]" + " % 2]" * 29 + "; } assert(x == 0); }", 12,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NESTED_CASES)
+def test_deep_nesting_in_choice_free_loops(case):
+    source, steps = NESTED_CASES[case]
+    v = enumerate_runs(parse(source), BIT)
+    assert (v.safe, v.steps) == (True, steps)
+
+
+def test_loops_of_one_shape_share_generated_code(monkeypatch):
+    # Every name and number enters generated code as an argument, so two loops
+    # that differ only in them compile once, and no program name is in the code.
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr("arraywitness.oracle.compile", spy, raising=False)
+    _loop_template.cache_clear()
+    first = parse(
+        "int alpha, total;\nint cells[3];\n"
+        "main() { for (alpha = 0; alpha < 3; alpha++) {"
+        " cells[alpha] = alpha * 7; total = total + cells[alpha]; } }"
+    )
+    second = parse(
+        "int sum, beta, gamma;\nint store[5];\n"
+        "main() { sum = 1; for (beta = 1; beta < 5; beta += 2) {"
+        " store[beta] = beta * 4; gamma = gamma + store[beta]; } }"
+    )
+    assert enumerate_runs(first, BIT).safe
+    misses = _loop_template.cache_info().misses
+    assert enumerate_runs(second, BIT).safe
+    assert (misses, _loop_template.cache_info().misses) == (1, 1)
+    (source,) = sources
+    for name in ("alpha", "total", "cells", "sum", "beta", "gamma", "store"):
+        assert name not in source
