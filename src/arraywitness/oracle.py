@@ -5,10 +5,12 @@ Enumerates every combination of nondeterministic choices (``nd()``,
 first failure found is the lexicographically smallest witness. Serves as the
 ground truth for the differential soundness and precision checks.
 
-Loops run from their constant ranges (any other loop is refused at set-up). A
-loop that makes no choice and holds no break or continue runs as generated
-Python code, compiled once per shape; any other loop runs as one work-stack item
-per iteration, and its choice-free expressions as compiled closures.
+Every expression compiles to one closure, which alone implements its operators
+outside generated loop code; an expression with choices runs as an odometer
+over its closure, once per combination of its choices. Loops run from their
+constant ranges (any other loop is refused at set-up). A loop that makes no
+choice and holds no break or continue runs as generated Python code, compiled
+once per shape; any other loop runs as one work-stack item per iteration.
 """
 
 from __future__ import annotations
@@ -133,20 +135,15 @@ _COMPARE: dict[str, Callable[[int, int], bool]] = {
 }
 _DIVIDE: dict[str, Callable[[int, int], int]] = {"/": _c_div, "%": _c_mod}
 
-_EXPR_TYPES = (Const, Read, BinOp, Ternary, Nd, NdRange, Input)
+_CHOICE_TYPES = (Nd, NdRange, Input)
+_EXPR_TYPES = (Const, Read, BinOp, Ternary, *_CHOICE_TYPES)
 
 
-def _apply(op: str, a: int, b: int, loc: int) -> int:
-    """Apply a strict binary operator with C semantics."""
-    if op in _ARITH:
-        return _ARITH[op](a, b)
-    if op in _COMPARE:
-        return 1 if _COMPARE[op](a, b) else 0
-    if op in _DIVIDE:
-        if b == 0:
-            raise _Fault(loc)
-        return _DIVIDE[op](a, b)
-    raise OracleError(f"unknown operator {op!r}")
+def _divide(op: str, a: int, b: int, loc: int) -> int:
+    """``a / b`` or ``a % b`` with C semantics; a zero divisor fails the run at ``loc``."""
+    if b == 0:
+        raise _Fault(loc)
+    return _DIVIDE[op](a, b)
 
 
 def _binop_closure(op: str, f, g, loc: int) -> Callable[[dict], int]:
@@ -162,7 +159,9 @@ def _binop_closure(op: str, f, g, loc: int) -> Callable[[dict], int]:
     if op in _COMPARE:
         test = _COMPARE[op]
         return lambda state: 1 if test(f(state), g(state)) else 0
-    return lambda state: _apply(op, f(state), g(state), loc)
+    if op in _DIVIDE:
+        return lambda state: _divide(op, f(state), g(state), loc)
+    raise OracleError(f"unknown operator {op!r}")
 
 
 def scale_arrays(p: Program, new_size: int) -> Program:
@@ -233,12 +232,19 @@ class _Machine:
         self.script = script
         self.on_array_access = on_array_access
         self.steps = 0
-        # Closure for every choice-free expression node, None for a node that
-        # makes a nondeterministic choice. Keyed by node identity, so the
-        # machine holds on to the program whose nodes the keys name.
+        # A closure for every expression node; a choice in one calls _choose.
+        # _det holds it only for a node that makes no choice, as _choices (the
+        # choices compiled so far) tells, and None otherwise. Keyed by node
+        # identity, so the machine holds on to the program whose nodes they name.
         self._program = p
         self._sizes = {d.name: d.size for d in p.decls}
+        self._closures: dict[int, Callable[[dict], int]] = {}
         self._det: dict[int, Callable[[dict], int] | None] = {}
+        self._choices = 0
+        # The odometer of the choiceful expression under evaluation, as eval sets
+        # it: its digits (the values of the choices reached), their upper bounds,
+        # the next digit to read, and the choices made before the expression.
+        self._vals, self._his, self._pos, self._base = [], [], 0, []
         # Each loop's range, the body items a true test pushes and their steps.
         self._loops: dict[int, tuple[range, list, int]] = {}
         for node in walk(p.body):
@@ -251,48 +257,44 @@ class _Machine:
                 self._loops[id(node)] = (r, items, 1 + isinstance(node.body, Block))
         self._stmts: dict = {}  # loops' generated code, compiled when first reached
 
-    def _compile(self, e) -> Callable[[dict], int] | None:
-        """Return ``e``'s evaluation closure, or None when ``e`` has a choice.
-
-        Every subexpression is compiled (and cached) too, so choice-free
-        operands of choiceful expressions are available to :meth:`eval`.
-        """
+    def _compile(self, e) -> Callable[[dict], int]:
+        """Return ``e``'s evaluation closure, compiling (and caching) its
+        subexpressions first; ``_det`` gets it too unless ``e`` counted a choice."""
         key = id(e)
-        if key not in self._det:
-            self._det[key] = self._build(e)
-        return self._det[key]
+        if key not in self._closures:
+            choices = self._choices
+            self._closures[key] = fn = self._build(e)
+            self._choices += isinstance(e, _CHOICE_TYPES)
+            self._det[key] = fn if self._choices == choices else None
+        else:  # a choiceful node met again counts for its new parent too
+            self._choices += self._det[key] is None
+        return self._closures[key]
 
-    def _build(self, e) -> Callable[[dict], int] | None:
+    def _build(self, e) -> Callable[[dict], int]:
         match e:
             case Nd() | Input():
-                return None
+                choose, (lo, hi), loc = self._choose, self.cfg.value_domain, e.loc
+                return lambda state: choose(lo, hi, loc)
             case NdRange(lo, hi):
-                self._compile(lo)
-                self._compile(hi)
-                return None
+                choose, f, g, loc = self._choose, self._compile(lo), self._compile(hi), e.loc
+                return lambda state: choose(f(state), g(state), loc)
             case Const(value):
                 return lambda state: value
             case Read(Var(name)):
                 return lambda state: state[name]
             case Read(ArrayAccess(array, index)):
-                if self._compile(index) is None:
-                    return None
+                self._compile(index)
                 return self._read_closure(array, index, e.loc)
             case BinOp(op, lhs, rhs):
-                f, g = self._compile(lhs), self._compile(rhs)
-                if f is None or g is None:
-                    return None
-                return _binop_closure(op, f, g, e.loc)
+                return _binop_closure(op, self._compile(lhs), self._compile(rhs), e.loc)
             case Ternary(cond, then, orelse):
                 c, t, o = (self._compile(x) for x in (cond, then, orelse))
-                if c is None or t is None or o is None:
-                    return None
                 return lambda state: t(state) if c(state) != 0 else o(state)
-        raise OracleError(f"cannot evaluate {type(e).__name__} deterministically")
+        raise OracleError(f"cannot evaluate {type(e).__name__}")
 
     def _read_closure(self, array: str, index, loc: int) -> Callable[[dict], int]:
         # An index that is a plain variable is read directly.
-        var, idx, notify = _read_var(index), self._det[id(index)], self.on_array_access
+        var, idx, notify = _read_var(index), self._closures[id(index)], self.on_array_access
         size = self._sizes[array]
 
         def read(state):
@@ -306,21 +308,14 @@ class _Machine:
 
         return read
 
-    def _scripted(self, choices: list[int], lo: int, hi: int, loc: int):
-        pos = len(choices)
-        if pos >= len(self.script):
-            raise OracleError(f"trace exhausted at choice {pos} (location {loc})")
-        v = self.script[pos]
-        if not lo <= v <= hi:
-            raise OracleError(
-                f"scripted value {v} outside [{lo}, {hi}] at location {loc}"
-            )
-        return v, choices + [v]
-
     # -- expression evaluation --------------------------------------------
 
     def eval(self, e, state, choices: list[int]) -> Iterator[tuple[int, list[int]]]:
-        """Enumerate the possible values of ``e``, threading choice lists."""
+        """Enumerate the possible values of ``e``, threading choice lists.
+
+        A choiceful ``e`` runs as an odometer over its closure: each call reads
+        one digit per choice it reaches, and the last digit turns fastest, so
+        values come out in lexicographic order of their choices."""
         det = self._det[id(e)]
         if det is not None:
             try:
@@ -331,61 +326,46 @@ class _Machine:
                 raise _Failure(d.loc, choices, _flatten(state)) from None
             yield v, choices
             return
-        match e:
-            case Nd() | Input():
-                lo, hi = self.cfg.value_domain
-                if self.script is not None:
-                    yield self._scripted(choices, lo, hi, e.loc)
-                    return
-                if hi - lo >= self.cfg.max_steps:
-                    raise _too_wide(e.loc, self.cfg.max_steps)
-                for v in range(lo, hi + 1):
-                    yield v, choices + [v]
-            case NdRange(lo_e, hi_e):
-                for lo, ch1 in self.eval(lo_e, state, choices):
-                    for hi, ch2 in self.eval(hi_e, state, ch1):
-                        if self.script is not None:
-                            yield self._scripted(ch2, lo, hi, e.loc)
-                            return
-                        if hi - lo >= self.cfg.max_steps:
-                            raise _too_wide(e.loc, self.cfg.max_steps)
-                        for v in range(lo, hi + 1):
-                            yield v, ch2 + [v]
-            case BinOp("&&", lhs, rhs):
-                for a, ch in self.eval(lhs, state, choices):
-                    if a == 0:
-                        yield 0, ch
-                    else:
-                        for b, ch2 in self.eval(rhs, state, ch):
-                            yield (1 if b != 0 else 0), ch2
-            case BinOp("||", lhs, rhs):
-                for a, ch in self.eval(lhs, state, choices):
-                    if a != 0:
-                        yield 1, ch
-                    else:
-                        for b, ch2 in self.eval(rhs, state, ch):
-                            yield (1 if b != 0 else 0), ch2
-            case BinOp(op, lhs, rhs):
-                for a, ch in self.eval(lhs, state, choices):
-                    for b, ch2 in self.eval(rhs, state, ch):
-                        try:
-                            yield _apply(op, a, b, e.loc), ch2
-                        except _Fault as d:
-                            # Carry this branch's choice list so replaying the
-                            # trace reproduces the division failure.
-                            raise _Failure(d.loc, ch2, _flatten(state)) from None
-            case Ternary(cond, then, orelse):
-                for c, ch in self.eval(cond, state, choices):
-                    taken = then if c != 0 else orelse
-                    yield from self.eval(taken, state, ch)
-            case Read(ArrayAccess(array, index)):
-                for i, ch in self.eval(index, state, choices):
-                    arr = state[array]
-                    if not 0 <= i < len(arr):
-                        raise _out_of_bounds(array, i, len(arr), e.loc)
-                    if self.on_array_access is not None:
-                        self.on_array_access(array, i)
-                    yield arr[i], ch
+        fn, vals, his = self._closures[id(e)], [], []
+        while True:
+            # The caller's run re-enters eval between two yields: reset the odometer.
+            self._vals, self._his, self._pos, self._base = vals, his, 0, choices
+            try:
+                v = fn(state)
+            except _Empty:  # no value on this branch: advance past it
+                pass
+            except _Fault as d:
+                raise _Failure(d.loc, choices + vals, _flatten(state)) from None
+            else:
+                yield v, choices + vals
+            while vals and vals[-1] == his[-1]:
+                del vals[-1], his[-1]
+            if not vals:
+                return
+            vals[-1] += 1
+
+    def _choose(self, lo: int, hi: int, loc: int) -> int:
+        """The current evaluation's next digit: the odometer's, or a new one at
+        ``lo``. On replay a new digit is the scripted value, its own upper bound."""
+        vals, pos = self._vals, self._pos
+        self._pos = pos + 1
+        if pos < len(vals):
+            return vals[pos]
+        if self.script is not None:
+            pos += len(self._base)
+            if pos >= len(self.script):
+                raise OracleError(f"trace exhausted at choice {pos} (location {loc})")
+            v = self.script[pos]
+            if not lo <= v <= hi:
+                raise OracleError(f"scripted value {v} outside [{lo}, {hi}] at location {loc}")
+            lo = hi = v
+        elif hi < lo:
+            raise _Empty
+        elif hi - lo >= self.cfg.max_steps:
+            raise _too_wide(loc, self.cfg.max_steps)
+        vals.append(lo)
+        self._his.append(hi)
+        return lo
 
     # -- statement execution ----------------------------------------------
 
@@ -638,7 +618,7 @@ class _LoopSource:
             case Read(Var(name)):
                 return "i" if name == self.iterator else f"state[{self.arg(name, name)}]"
             case BinOp("/" | "%" as op, lhs, rhs):
-                return f"_apply({op!r}, {self.expr(lhs)}, {self.expr(rhs)}, {self.arg(e.loc)})"
+                return f"_divide({op!r}, {self.expr(lhs)}, {self.expr(rhs)}, {self.arg(e.loc)})"
             case Read(ArrayAccess(array, index)):
                 a, n, size = self.array(array)
                 cell = f"(notify({n}, t), {a}[t])[1]" if self.notify else f"{a}[t]"
@@ -669,6 +649,10 @@ def _oob(array: str, i: int, size: int, loc: int):
 def _too_wide(loc: int, max_steps: int) -> BudgetExceeded:
     # A choice with nothing after it costs no step: refuse one wider than the budget.
     return BudgetExceeded(f"choice at location {loc} has more than {max_steps} values")
+
+
+class _Empty(Exception):
+    """An ``nd(lo, hi)`` with ``hi < lo``: the expression has no value on this branch."""
 
 
 class _Fault(Exception):
@@ -709,7 +693,8 @@ def enumerate_runs(
     Returns Safe, or Unsafe with the lexicographically first failing trace.
     Division or modulo by zero makes the offending run unsafe at that
     location. ``on_array_access`` observes every in-bounds array read and
-    write as ``(array_name, index)``.
+    write as ``(array_name, index)``; a read in an expression that makes
+    choices, once per combination of them.
     """
     return _drive(p, cfg, on_complete=on_complete, on_array_access=on_array_access)
 

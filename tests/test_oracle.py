@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from arraywitness import (
@@ -9,7 +11,7 @@ from arraywitness import (
     replay_trace,
     transform_program,
 )
-from arraywitness.astnodes import Assert, BinOp, NdRange, walk
+from arraywitness.astnodes import PRECEDENCE, Assert, Assign, BinOp, NdRange, walk
 from arraywitness.oracle import (
     BudgetExceeded,
     NonConstantBound,
@@ -195,6 +197,12 @@ def test_array_access_callbacks_in_evaluation_order():
     seen = []
     assert enumerate_runs(p, SMALL, on_array_access=lambda a, i: seen.append((a, i))).safe
     assert seen == [("b", 1), ("b", 1), ("a", 2), ("c", 0), ("b", 3), ("a", 0)]
+    # A read before a choice in the same expression is made once per evaluation.
+    p = parse("int x;\nint a[4];\nmain() { x = a[1] + input(); }")
+    seen = []
+    bit = OracleConfig(value_domain=(0, 1))
+    assert enumerate_runs(p, bit, on_array_access=lambda a, i: seen.append((a, i))).safe
+    assert seen == [("a", 1), ("a", 1)]
 
 
 def test_scale_arrays_rewrites_size_constants(fig1):
@@ -422,6 +430,11 @@ CHOICE_CASES = {
         13, ([1, 1, 0, 1], "assert", {"x": 1, "y": 1}),
     ),
     "empty-range": ("int y;\nmain() { y = nd(2, 1) + nd(); }", [], 2, None),
+    "choice-in-an-index": (
+        "int x;\nint a[2];\nmain() { a[1] = 5; x = a[nd(0, 1)] + nd(0, 1); assert(x != 6); }",
+        [{"x": x, "a[0]": 0, "a[1]": 5} for x in (0, 1, 5)], 7,
+        ([1, 1], "assert", {"x": 6, "a[0]": 0, "a[1]": 5}),
+    ),
     "division": (
         "int x;\nmain() { x = nd(0, 1) + nd(0, 1); assert(x + 4 / nd(0, 1) > 0); }",
         [], 3, ([0, 0, 0], "/", {"x": 0}),
@@ -520,6 +533,47 @@ def test_replay_of_a_choice_inside_a_bound():
     with pytest.raises(OracleError) as e:
         replay_trace(p, [5], BIT)
     assert str(e.value) == f"scripted value 5 outside [0, 2] at location {first}"
+
+
+# Outside generated loop code, each operator is implemented once, by the
+# compiled closures; a choice-free loop inlines its own copy as Python text.
+# The two agree on every operator and operand pair in -3..3, down to C's
+# truncating / and %, and fail at the same node on a zero divisor.
+@pytest.mark.parametrize("op", PRECEDENCE)
+def test_closures_and_generated_loop_code_agree(op):
+    for a, b in itertools.product(range(-3, 4), repeat=2):
+        outcomes = []
+        for body in (f"x = a {op} b;", f"for (i = 0; i < 1; i++) {{ x = a {op} b; }}"):
+            p = parse(f"int a, b, i, x;\nmain() {{ a = {a + 3} - 3; b = {b + 3} - 3; {body} }}")
+            generated = _loop_template.cache_info()
+            states = []
+            v = enumerate_runs(p, BIT, on_complete=states.append)
+            if body.startswith("for"):
+                info = _loop_template.cache_info()
+                assert info.hits + info.misses > generated.hits + generated.misses
+            outcomes.append([s["x"] for s in states] if v.safe
+                            else ("fails", v.witness.failing_assert == _failing_node(p, op)))
+        assert outcomes[0] == outcomes[1], (a, b)
+        assert (outcomes[0] == ("fails", True)) == (op in ("/", "%") and b == 0), (a, b)
+
+
+def test_a_choice_shared_by_two_statements_is_drawn_in_each():
+    # Parsed programs never share a node; a hand-built one may.
+    for source, xy in (("x = nd() + 1; y = nd();", [(1, 0), (1, 1), (2, 0), (2, 1)]),
+                       ("y = nd(); x = nd() + 1;", [(1, 0), (2, 0), (1, 1), (2, 1)])):
+        p = parse(f"int x, y;\nmain() {{ {source} }}")
+        shared = next(n for n in walk(p) if isinstance(n, Assign) and n.target.name == "y").value
+        next(n for n in walk(p) if isinstance(n, BinOp)).lhs = shared
+        states = []
+        v = enumerate_runs(p, BIT, on_complete=states.append)
+        assert (states, v.steps) == ([{"x": x, "y": y} for x, y in xy], 4)
+
+
+def test_unknown_operator_is_refused():
+    p = parse("int x;\nmain() { x = 1 + nd(); }")
+    next(n for n in walk(p) if isinstance(n, BinOp)).op = "<<"
+    with pytest.raises(OracleError, match="unknown operator '<<'"):
+        enumerate_runs(p, BIT)
 
 
 # A loop that makes a choice runs on the work stack: one marker per iteration
