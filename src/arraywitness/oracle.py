@@ -5,6 +5,9 @@ Enumerates every combination of nondeterministic choices (``nd()``,
 first failure found is the lexicographically smallest witness. Serves as the
 ground truth for the differential soundness and precision checks.
 
+Statements run from an explicit work stack. A statement that makes a choice
+forks one branch per combination of its choices; the branches wait on a stack
+of forks, not on Python's call stack, so a run may make any number of choices.
 Every expression compiles to one closure, which alone implements its operators
 outside generated loop code; an expression with choices runs as an odometer
 over its closure, once per combination of its choices. Loops run from their
@@ -216,6 +219,44 @@ def _copy_state(state: dict) -> dict:
     return {k: (list(v) if isinstance(v, list) else v) for k, v in state.items()}
 
 
+class _Odometer:
+    """The step counter, a replay's script of choices (choice points then consume
+    it instead of enumerating), and the odometer of the choiceful expression
+    under evaluation, as ``eval`` sets it: its digits (the values of the choices
+    reached), their upper bounds, the next digit to read, and the choices made
+    before the expression. Closures and generated loop code hold this, not the
+    machine, so no machine is part of a reference cycle."""
+
+    __slots__ = ("steps", "limit", "script", "vals", "his", "pos", "base")
+
+    def __init__(self, limit: int, script: list[int] | None):
+        self.steps, self.limit, self.script = 0, limit, script
+        self.vals, self.his, self.pos, self.base = [], [], 0, []
+
+    def choose(self, lo: int, hi: int, loc: int) -> int:
+        """The current evaluation's next digit: the odometer's, or a new one at
+        ``lo``. On replay a new digit is the scripted value, its own upper bound."""
+        vals, pos = self.vals, self.pos
+        self.pos = pos + 1
+        if pos < len(vals):
+            return vals[pos]
+        if self.script is not None:
+            pos += len(self.base)
+            if pos >= len(self.script):
+                raise OracleError(f"trace exhausted at choice {pos} (location {loc})")
+            v = self.script[pos]
+            if not lo <= v <= hi:
+                raise OracleError(f"scripted value {v} outside [{lo}, {hi}] at location {loc}")
+            lo = hi = v
+        elif hi < lo:
+            raise _Empty
+        elif hi - lo >= self.limit:
+            raise _too_wide(loc, self.limit)
+        vals.append(lo)
+        self.his.append(hi)
+        return lo
+
+
 class _Machine:
     def __init__(
         self,
@@ -227,12 +268,9 @@ class _Machine:
     ):
         self.cfg = cfg
         self.on_complete = on_complete
-        # When set, choice points consume prescribed values instead of
-        # enumerating: replays one run from a recorded trace.
-        self.script = script
         self.on_array_access = on_array_access
-        self.steps = 0
-        # A closure for every expression node; a choice in one calls _choose.
+        self.odo = _Odometer(cfg.max_steps, script)
+        # A closure for every expression node; a choice in one calls choose.
         # _det holds it only for a node that makes no choice, as _choices (the
         # choices compiled so far) tells, and None otherwise. Keyed by node
         # identity, so the machine holds on to the program whose nodes they name.
@@ -241,10 +279,6 @@ class _Machine:
         self._closures: dict[int, Callable[[dict], int]] = {}
         self._det: dict[int, Callable[[dict], int] | None] = {}
         self._choices = 0
-        # The odometer of the choiceful expression under evaluation, as eval sets
-        # it: its digits (the values of the choices reached), their upper bounds,
-        # the next digit to read, and the choices made before the expression.
-        self._vals, self._his, self._pos, self._base = [], [], 0, []
         # Each loop's range, the body items a true test pushes and their steps.
         self._loops: dict[int, tuple[range, list, int]] = {}
         for node in walk(p.body):
@@ -273,10 +307,10 @@ class _Machine:
     def _build(self, e) -> Callable[[dict], int]:
         match e:
             case Nd() | Input():
-                choose, (lo, hi), loc = self._choose, self.cfg.value_domain, e.loc
+                choose, (lo, hi), loc = self.odo.choose, self.cfg.value_domain, e.loc
                 return lambda state: choose(lo, hi, loc)
             case NdRange(lo, hi):
-                choose, f, g, loc = self._choose, self._compile(lo), self._compile(hi), e.loc
+                choose, f, g, loc = self.odo.choose, self._compile(lo), self._compile(hi), e.loc
                 return lambda state: choose(f(state), g(state), loc)
             case Const(value):
                 return lambda state: value
@@ -326,10 +360,10 @@ class _Machine:
                 raise _Failure(d.loc, choices, _flatten(state)) from None
             yield v, choices
             return
-        fn, vals, his = self._closures[id(e)], [], []
+        fn, vals, his, odo = self._closures[id(e)], [], [], self.odo
         while True:
-            # The caller's run re-enters eval between two yields: reset the odometer.
-            self._vals, self._his, self._pos, self._base = vals, his, 0, choices
+            # Between two yields the fork stack runs a branch, which evaluates: reset the odometer.
+            odo.vals, odo.his, odo.pos, odo.base = vals, his, 0, choices
             try:
                 v = fn(state)
             except _Empty:  # no value on this branch: advance past it
@@ -344,191 +378,146 @@ class _Machine:
                 return
             vals[-1] += 1
 
-    def _choose(self, lo: int, hi: int, loc: int) -> int:
-        """The current evaluation's next digit: the odometer's, or a new one at
-        ``lo``. On replay a new digit is the scripted value, its own upper bound."""
-        vals, pos = self._vals, self._pos
-        self._pos = pos + 1
-        if pos < len(vals):
-            return vals[pos]
-        if self.script is not None:
-            pos += len(self._base)
-            if pos >= len(self.script):
-                raise OracleError(f"trace exhausted at choice {pos} (location {loc})")
-            v = self.script[pos]
-            if not lo <= v <= hi:
-                raise OracleError(f"scripted value {v} outside [{lo}, {hi}] at location {loc}")
-            lo = hi = v
-        elif hi < lo:
-            raise _Empty
-        elif hi - lo >= self.cfg.max_steps:
-            raise _too_wide(loc, self.cfg.max_steps)
-        vals.append(lo)
-        self._his.append(hi)
-        return lo
-
     # -- statement execution ----------------------------------------------
 
     def run(self, work: list, state: dict, choices: list[int]) -> None:
-        """Execute the work stack to completion; raises _Failure on the first
-        failing run, returns after all runs completed safely."""
-        while work:
-            self.steps += 1
-            if self.steps > self.cfg.max_steps:
-                raise _over_budget(self.cfg.max_steps)
-            item = work.pop()
-            try:
-                if isinstance(item, tuple):
-                    if self._exec_marker(item, work, state, choices):
-                        return
-                elif self._exec_stmt(item, work, state, choices):
-                    return
-            except _Fault as d:
-                raise _Failure(d.loc, choices, _flatten(state)) from None
-        if self.on_complete is not None:
-            self.on_complete(_flatten(state))
+        """Execute the work stack and, depth first, each branch a statement forks;
+        raises _Failure on the first failing run, returns after all completed safely."""
+        odo, limit = self.odo, self.odo.limit
+        forks = [(iter([(state, choices, None)]), work)]  # branches left, the work beneath
+        while forks:
+            branches, beneath = forks[-1]
+            for state, choices, push in branches:
+                work = list(beneath) if push is None else [*beneath, push]
+                while work:
+                    odo.steps += 1
+                    if odo.steps > limit:
+                        raise _over_budget(limit)
+                    try:
+                        fork = self._exec_stmt(work.pop(), work, state, choices)
+                    except _Fault as d:
+                        raise _Failure(d.loc, choices, _flatten(state)) from None
+                    if fork is not None:
+                        forks.append((fork, work))
+                        break
+                else:
+                    if self.on_complete is not None:
+                        self.on_complete(_flatten(state))
+                    continue
+                break  # a new fork: run its branches first
+            else:
+                forks.pop()
 
-    # The _exec helpers return True when they handled the rest of the
-    # execution through recursion (i.e. the caller must stop this frame).
-
-    def _exec_marker(self, item, work, state, choices) -> bool:
-        """Run a ``("next", loop)`` marker: increment, and in range push it back under
-        the body. The test and body block count here under one check: neither can fail."""
-        loop = item[1]
-        r, items, head = self._loops[id(loop)]
-        state[loop.iterator] += r.step
-        if state[loop.iterator] < r.stop:
-            work.append(item)
-            work += items
-            self.steps += head
-        else:
-            self.steps += 1
-        if self.steps > self.cfg.max_steps:
-            raise _over_budget(self.cfg.max_steps)
-        return False
-
-    def _assign_scalar(self, name, e, work, state, choices) -> bool:
-        det = self._det[id(e)]
-        if det is not None:
-            state[name] = det(state)
-            return False
-        for v, ch in self.eval(e, state, choices):
-            st = _copy_state(state)
-            st[name] = v
-            self.run(list(work), st, ch)
-        return True
-
-    def _exec_stmt(self, s, work, state, choices) -> bool:
-        # This frame recurs once per choice point, so resizing it moves CPython
-        # 3.11's frame-stack chunk faults between programs (CHANGES.md FOUND).
+    def _exec_stmt(self, s, work, state, choices) -> Iterator | None:
+        """Run ``s`` in place, or return its branches if it makes a choice."""
         match s:
+            case ("next", loop):  # increment, and in range push back under the body
+                r, items, head = self._loops[id(loop)]
+                state[loop.iterator] += r.step
+                if state[loop.iterator] < r.stop:
+                    work.append(s)
+                    work += items
+                    self.odo.steps += head  # the test and the body block: neither can fail
+                else:
+                    self.odo.steps += 1
+                if self.odo.steps > self.odo.limit:
+                    raise _over_budget(self.odo.limit)
             case Block(stmts):
                 work.extend(reversed(stmts))
-                return False
             case Assign(Var(name), value):
-                return self._assign_scalar(name, value, work, state, choices)
+                if (det := self._det[id(value)]) is None:
+                    return self._assigning(value, (name,), state, choices)
+                state[name] = det(state)
             case Assign(ArrayAccess(array, index), value):
                 idx, val = self._det[id(index)], self._det[id(value)]
-                if idx is not None and val is not None:
-                    i = idx(state)
-                    arr = state[array]
-                    if not 0 <= i < len(arr):
-                        raise OracleError(
-                            f"index {i} out of bounds for {array}[{len(arr)}] "
-                            f"at location {s.loc}"
-                        )
-                    arr[i] = val(state)
-                    if self.on_array_access is not None:
-                        self.on_array_access(array, i)
-                    return False
-                for i, ch1 in self.eval(index, state, choices):
-                    for v, ch2 in self.eval(value, state, ch1):
-                        arr = state[array]
-                        if not 0 <= i < len(arr):
-                            raise OracleError(
-                                f"index {i} out of bounds for {array}[{len(arr)}] "
-                                f"at location {s.loc}"
-                            )
-                        st = _copy_state(state)
-                        st[array][i] = v
-                        if self.on_array_access is not None:
-                            self.on_array_access(array, i)
-                        self.run(list(work), st, ch2)
-                return True
+                if idx is None or val is None:
+                    return self._storing(array, index, value, s.loc, state, choices)
+                i, arr = idx(state), state[array]
+                if not 0 <= i < len(arr):
+                    raise _out_of_bounds(array, i, len(arr), s.loc)
+                arr[i] = val(state)
+                if self.on_array_access is not None:
+                    self.on_array_access(array, i)
             case ChainAssign(targets, value):
-                det = self._det[id(value)]
-                if det is not None:
-                    v = det(state)
-                    for t in targets:
-                        state[t] = v
-                    return False
-                for v, ch in self.eval(value, state, choices):
-                    st = _copy_state(state)
-                    for t in targets:
-                        st[t] = v
-                    self.run(list(work), st, ch)
-                return True
-            case TernaryAssign(cond, Var(name), value, discard):
-                for c, ch1 in self.eval(cond, state, choices):
-                    if c != 0:
-                        for v, ch2 in self.eval(value, state, ch1):
-                            st = _copy_state(state)
-                            st[name] = v
-                            self.run(list(work), st, ch2)
-                    else:
-                        # Discarded side: evaluated for its choices and
-                        # possible division failure only.
-                        for _, ch2 in self.eval(discard, state, ch1):
-                            self.run(list(work), _copy_state(state), ch2)
-                return True
+                if (det := self._det[id(value)]) is None:
+                    return self._assigning(value, targets, state, choices)
+                v = det(state)
+                for t in targets:
+                    state[t] = v
             case Assert(cond):
-                test = self._det[id(cond)]
-                if test is not None:
-                    if test(state) == 0:
-                        raise _Failure(s.loc, choices, _flatten(state))
-                    return False
-                for v, ch in self.eval(cond, state, choices):
-                    if v == 0:
-                        raise _Failure(s.loc, ch, _flatten(state))
-                    self.run(list(work), _copy_state(state), ch)
-                return True
+                if (test := self._det[id(cond)]) is None:
+                    return self._testing(cond, s.loc, None, None, state, choices)
+                if test(state) == 0:
+                    raise _Failure(s.loc, choices, _flatten(state))
             case If(cond, then, orelse):
-                test = self._det[id(cond)]
-                if test is not None:
-                    taken = then if test(state) != 0 else orelse
-                    if taken is not None:
-                        work.append(taken)
-                    return False
-                for v, ch in self.eval(cond, state, choices):
-                    taken = then if v != 0 else orelse
-                    w = list(work) if taken is None else [*work, taken]
-                    self.run(w, _copy_state(state), ch)
-                return True
+                if (test := self._det[id(cond)]) is None:
+                    return self._testing(cond, None, then, orelse, state, choices)
+                taken = then if test(state) != 0 else orelse
+                if taken is not None:
+                    work.append(taken)
+            case TernaryAssign(cond, Var(name), value, discard):
+                return self._guarding(cond, name, value, discard, state, choices)
             case For(iterator=it):
                 if id(s) not in self._stmts:
                     self._stmts[id(s)] = _LoopSource(self).bind(s)
                 det = self._stmts[id(s)]
                 if det is not None:  # a choice-free loop runs as generated code
                     det(state)
-                    return False
-                # The For's step stands for the increment to the range's start.
-                init = self._loops[id(s)][0]
-                state[it] = init.start - init.step
-                return self._exec_marker(("next", s), work, state, choices)
+                else:  # the For's step stands for the increment to the range's start
+                    init = self._loops[id(s)][0]
+                    state[it] = init.start - init.step
+                    self._exec_stmt(("next", s), work, state, choices)
             case Break():  # leaves the loop: pops through its marker
                 while work:
                     item = work.pop()
                     if isinstance(item, tuple):
                         break
-                return False
             case Continue():  # ends the iteration: stops at the marker
                 while work:
                     top = work[-1]
                     if isinstance(top, tuple):
                         break
                     work.pop()
-                return False
-        raise OracleError(f"cannot execute {type(s).__name__}")
+            case _:
+                raise OracleError(f"cannot execute {type(s).__name__}")
+        return None
+
+    # A choiceful statement's branches, in DFS order: each is a state, its
+    # choices, and the item it pushes on the work beneath (or None).
+
+    def _assigning(self, value, targets, state, choices) -> Iterator[tuple]:
+        for v, ch in self.eval(value, state, choices):
+            st = _copy_state(state)
+            for t in targets:
+                st[t] = v
+            yield st, ch, None
+
+    def _storing(self, array, index, value, loc, state, choices) -> Iterator[tuple]:
+        for i, ch1 in self.eval(index, state, choices):
+            for v, ch2 in self.eval(value, state, ch1):
+                if not 0 <= i < len(state[array]):
+                    raise _out_of_bounds(array, i, len(state[array]), loc)
+                st = _copy_state(state)
+                st[array][i] = v
+                if self.on_array_access is not None:
+                    self.on_array_access(array, i)
+                yield st, ch2, None
+
+    def _guarding(self, cond, name, value, discard, state, choices) -> Iterator[tuple]:
+        for c, ch1 in self.eval(cond, state, choices):
+            # The discarded side is evaluated for its choices and possible division failure only.
+            for v, ch2 in self.eval(value if c != 0 else discard, state, ch1):
+                st = _copy_state(state)
+                if c != 0:
+                    st[name] = v
+                yield st, ch2, None
+
+    def _testing(self, cond, fails_at, then, orelse, state, choices) -> Iterator[tuple]:
+        """An ``If``'s branches, or an ``Assert``'s when it ``fails_at`` a location."""
+        for v, ch in self.eval(cond, state, choices):
+            if v == 0 and fails_at is not None:
+                raise _Failure(fails_at, ch, _flatten(state))
+            yield _copy_state(state), ch, then if v != 0 else orelse
 
 
 class _LoopSource:
@@ -561,11 +550,11 @@ class _LoopSource:
                        f"{pad}ticks = {head + 2}", f"        m.steps += ticks - {head}",
                        "        if m.steps > limit: raise _over_budget(limit)"]
         params = ", ".join(f"v{k}" for k in range(len(self.args)))
-        source = "\n".join([f"def bind(m, notify, {params}):", "    limit = m.cfg.max_steps",
+        source = "\n".join([f"def bind(m, notify, {params}):", "    limit = m.limit",
                             "    def loop(state):",
                             *(f"        {a} = state[{n}]" for a, n in self.arrays.items()),
                             *self.lines, "    return loop"])
-        return _loop_template(source)(self.machine, self.notify, *self.args)
+        return _loop_template(source)(self.machine.odo, self.notify, *self.args)
 
     def arg(self, value, key=None) -> str:  # one per key, a fresh one without
         if key is None or key not in self.keys:
@@ -678,8 +667,8 @@ def _drive(p: Program, cfg: OracleConfig | None, **machine_args) -> Verdict:
     try:
         machine.run([p.body], _initial_state(p), [])
     except _Failure as f:
-        return Verdict("unsafe", Trace(f.choices, f.loc, f.state), machine.steps)
-    return Verdict("safe", steps=machine.steps)
+        return Verdict("unsafe", Trace(f.choices, f.loc, f.state), machine.odo.steps)
+    return Verdict("safe", steps=machine.odo.steps)
 
 
 def enumerate_runs(

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -19,7 +21,9 @@ from arraywitness.oracle import (
     Trace,
     _c_div,
     _c_mod,
+    _initial_state,
     _loop_template,
+    _Machine,
     scale_arrays,
 )
 
@@ -687,3 +691,31 @@ def test_loops_of_one_shape_share_generated_code(monkeypatch):
     (source,) = sources
     for name in ("alpha", "total", "cells", "sum", "beta", "gamma", "store"):
         assert name not in source
+
+
+def test_sequential_choices_use_no_python_stack():
+    # Each choice forks from the machine's own stack, so 1,000 of them in a
+    # row run at the default recursion limit.
+    p = parse("int x;\nmain() { " + "x = input(); " * 1000 + "assert(x == 1); }")
+    v = enumerate_runs(p, BIT)
+    assert (v.outcome, v.witness.nd_choices, v.steps) == ("unsafe", [0] * 1000, 1002)
+
+
+@pytest.mark.parametrize("source", [
+    "int x;\nmain() { x = nd(); assert(x < 2); }",
+    "int i, x;\nint a[3];\nmain() { for (i = 0; i < 3; i++) { a[i] = i; x = x + a[i]; } }",
+], ids=["choiceful", "choice-free-loop"])
+def test_a_machine_is_freed_without_the_cyclic_collector(source):
+    # Choice closures and generated loop code hold the machine's odometer,
+    # not the machine, so dropping the machine frees it at once.
+    p = parse(source)
+    gc.disable()
+    try:
+        m = _Machine(p, BIT)
+        m.run([p.body], _initial_state(p), [])
+        assert m.odo.steps > 0
+        freed = weakref.ref(m)
+        del m
+        assert freed() is None
+    finally:
+        gc.enable()
