@@ -5,15 +5,17 @@ Enumerates every combination of nondeterministic choices (``nd()``,
 first failure found is the lexicographically smallest witness. Serves as the
 ground truth for the differential soundness and precision checks.
 
-Statements run from an explicit work stack. A statement that makes a choice
-forks one branch per combination of its choices; the branches wait on a stack
-of forks, not on Python's call stack, so a run may make any number of choices.
-Every expression compiles to one closure, which alone implements its operators
-outside generated loop code; an expression with choices runs as an odometer
-over its closure, once per combination of its choices. Loops run from their
-constant ranges (any other loop is refused at set-up). A loop that makes no
-choice and holds no break or continue runs as generated Python code, compiled
-once per shape; any other loop runs as one work-stack item per iteration.
+Statements run from an explicit work stack. A statement that makes no choice
+is one work item, bound once per machine when its statement list is first
+reached: a closure over its expressions' closures or, for a loop that holds no
+break or continue, generated Python code compiled once per shape. A statement
+that makes a choice forks one branch per combination of its choices; the
+branches wait on a stack of forks, not on Python's call stack, so a run may
+make any number of choices. Every expression compiles to one closure, which
+alone implements its operators outside generated loop code; an expression with
+choices runs as an odometer over its closure, once per combination of its
+choices. Loops run from their constant ranges (any other loop is refused at
+set-up); a loop left on the work stack runs as one item per iteration.
 """
 
 from __future__ import annotations
@@ -279,17 +281,16 @@ class _Machine:
         self._closures: dict[int, Callable[[dict], int]] = {}
         self._det: dict[int, Callable[[dict], int] | None] = {}
         self._choices = 0
-        # Each loop's range, the body items a true test pushes and their steps.
-        self._loops: dict[int, tuple[range, list, int]] = {}
+        # Each loop's range and the steps of a true test: the test's and the body block's.
+        self._loops: dict[int, tuple[range, int]] = {}
         for node in walk(p.body):
             if isinstance(node, _EXPR_TYPES):
                 self._compile(node)
             elif isinstance(node, For):
                 if (r := loop_bound(node)) is None:
                     raise NonConstantBound(f"loop at location {node.loc} has a non-constant bound")
-                items = node.body.stmts[::-1] if isinstance(node.body, Block) else [node.body]
-                self._loops[id(node)] = (r, items, 1 + isinstance(node.body, Block))
-        self._stmts: dict = {}  # loops' generated code, compiled when first reached
+                self._loops[id(node)] = (r, 1 + isinstance(node.body, Block))
+        self._built: dict[int, list] = {}  # statement lists' work items, built when first reached
 
     def _compile(self, e) -> Callable[[dict], int]:
         """Return ``e``'s evaluation closure, compiling (and caching) its
@@ -394,12 +395,13 @@ class _Machine:
                     if odo.steps > limit:
                         raise _over_budget(limit)
                     try:
-                        fork = self._exec_stmt(work.pop(), work, state, choices)
+                        if callable(item := work.pop()):  # a choice-free statement, run in place
+                            item(state)
+                        elif (fork := self._exec_stmt(item, work, state, choices)) is not None:
+                            forks.append((fork, work))
+                            break
                     except _Fault as d:
                         raise _Failure(d.loc, choices, _flatten(state)) from None
-                    if fork is not None:
-                        forks.append((fork, work))
-                        break
                 else:
                     if self.on_complete is not None:
                         self.on_complete(_flatten(state))
@@ -408,11 +410,62 @@ class _Machine:
             else:
                 forks.pop()
 
-    def _exec_stmt(self, s, work, state, choices) -> Iterator | None:
-        """Run ``s`` in place, or return its branches if it makes a choice."""
+    def _items(self, s) -> list:
+        """The work items of a Block's statements, or of ``s`` alone, last first; built once."""
+        if (items := self._built.get(id(s))) is None:
+            stmts = s.stmts if isinstance(s, Block) else [s]
+            items = self._built[id(s)] = [self._bind(x) for x in reversed(stmts)]
+        return items
+
+    def _branch(self, s):
+        """An If's branch as one work item; a Block expands, counting its step, when popped."""
+        return s if s is None or isinstance(s, Block) else self._items(s)[0]
+
+    def _bind(self, s):
+        """``s`` as a work item: if choice-free, a closure over its expressions' closures
+        (a loop's generated code) that runs it in place on a state; else ``s`` itself."""
+        det, notify = self._det, self.on_array_access
         match s:
-            case ("next", loop):  # increment, and in range push back under the body
-                r, items, head = self._loops[id(loop)]
+            case Assign(Var(name), value) if val := det[id(value)]:
+                def item(state):
+                    state[name] = val(state)
+            case ChainAssign(targets, value) if val := det[id(value)]:
+                def item(state):
+                    v = val(state)
+                    for t in targets:
+                        state[t] = v
+            case Assign(ArrayAccess(array, index), value, loc) if (idx := det[id(index)]) and (
+                    val := det[id(value)]):
+                def item(state):
+                    i, arr = idx(state), state[array]
+                    if not 0 <= i < len(arr):
+                        raise _out_of_bounds(array, i, len(arr), loc)
+                    arr[i] = val(state)
+                    if notify is not None:
+                        notify(array, i)
+            case TernaryAssign(cond, Var(name), value, discard) if None not in (
+                    test := det[id(cond)], val := det[id(value)], other := det[id(discard)]):
+                def item(state):  # the discarded side runs for its possible division failure only
+                    if test(state) != 0:
+                        state[name] = val(state)
+                    else:
+                        other(state)
+            case Assert(cond, loc) if test := det[id(cond)]:
+                def item(state):
+                    if test(state) == 0:
+                        raise _Fault(loc)
+            case For():
+                return _LoopSource(self).bind(s) or s
+            case _:
+                return s
+        return item
+
+    def _exec_stmt(self, s, work, state, choices) -> Iterator | None:
+        """Steer the work stack by ``s``, a node that ``_bind`` left or a loop's
+        marker, or return ``s``'s branches if it makes a choice."""
+        match s:
+            case ("next", loop, items):  # increment, and in range push back under the body
+                r, head = self._loops[id(loop)]
                 state[loop.iterator] += r.step
                 if state[loop.iterator] < r.stop:
                     work.append(s)
@@ -422,51 +475,27 @@ class _Machine:
                     self.odo.steps += 1
                 if self.odo.steps > self.odo.limit:
                     raise _over_budget(self.odo.limit)
-            case Block(stmts):
-                work.extend(reversed(stmts))
+            case Block():
+                work += self._items(s)
             case Assign(Var(name), value):
-                if (det := self._det[id(value)]) is None:
-                    return self._assigning(value, (name,), state, choices)
-                state[name] = det(state)
+                return self._assigning(value, (name,), state, choices)
             case Assign(ArrayAccess(array, index), value):
-                idx, val = self._det[id(index)], self._det[id(value)]
-                if idx is None or val is None:
-                    return self._storing(array, index, value, s.loc, state, choices)
-                i, arr = idx(state), state[array]
-                if not 0 <= i < len(arr):
-                    raise _out_of_bounds(array, i, len(arr), s.loc)
-                arr[i] = val(state)
-                if self.on_array_access is not None:
-                    self.on_array_access(array, i)
+                return self._storing(array, index, value, s.loc, state, choices)
             case ChainAssign(targets, value):
-                if (det := self._det[id(value)]) is None:
-                    return self._assigning(value, targets, state, choices)
-                v = det(state)
-                for t in targets:
-                    state[t] = v
+                return self._assigning(value, targets, state, choices)
             case Assert(cond):
-                if (test := self._det[id(cond)]) is None:
-                    return self._testing(cond, s.loc, None, None, state, choices)
-                if test(state) == 0:
-                    raise _Failure(s.loc, choices, _flatten(state))
+                return self._testing(cond, s.loc, None, None, state, choices)
             case If(cond, then, orelse):
                 if (test := self._det[id(cond)]) is None:
                     return self._testing(cond, None, then, orelse, state, choices)
-                taken = then if test(state) != 0 else orelse
-                if taken is not None:
-                    work.append(taken)
+                if (taken := then if test(state) != 0 else orelse) is not None:
+                    work.append(self._branch(taken))
             case TernaryAssign(cond, Var(name), value, discard):
                 return self._guarding(cond, name, value, discard, state, choices)
-            case For(iterator=it):
-                if id(s) not in self._stmts:
-                    self._stmts[id(s)] = _LoopSource(self).bind(s)
-                det = self._stmts[id(s)]
-                if det is not None:  # a choice-free loop runs as generated code
-                    det(state)
-                else:  # the For's step stands for the increment to the range's start
-                    init = self._loops[id(s)][0]
-                    state[it] = init.start - init.step
-                    self._exec_stmt(("next", s), work, state, choices)
+            case For(iterator=it, body=body):  # its step stands for the increment to the range's start
+                init = self._loops[id(s)][0]
+                state[it] = init.start - init.step
+                self._exec_stmt(("next", s, self._items(body)), work, state, choices)
             case Break():  # leaves the loop: pops through its marker
                 while work:
                     item = work.pop()
@@ -494,9 +523,9 @@ class _Machine:
 
     def _storing(self, array, index, value, loc, state, choices) -> Iterator[tuple]:
         for i, ch1 in self.eval(index, state, choices):
+            if not 0 <= i < len(state[array]):
+                raise _out_of_bounds(array, i, len(state[array]), loc)
             for v, ch2 in self.eval(value, state, ch1):
-                if not 0 <= i < len(state[array]):
-                    raise _out_of_bounds(array, i, len(state[array]), loc)
                 st = _copy_state(state)
                 st[array][i] = v
                 if self.on_array_access is not None:
@@ -517,7 +546,7 @@ class _Machine:
         for v, ch in self.eval(cond, state, choices):
             if v == 0 and fails_at is not None:
                 raise _Failure(fails_at, ch, _flatten(state))
-            yield _copy_state(state), ch, then if v != 0 else orelse
+            yield _copy_state(state), ch, self._branch(then if v != 0 else orelse)
 
 
 class _LoopSource:
@@ -535,7 +564,8 @@ class _LoopSource:
 
     def bind(self, loop: For) -> Callable[[dict], None] | None:
         """The loop, run in place on a state; None if it stays on the work stack."""
-        r, items, head = self.machine._loops[id(loop)]
+        r, head = self.machine._loops[id(loop)]
+        stmts = loop.body.stmts if isinstance(loop.body, Block) else [loop.body]
         # The local i mirrors the iterator: every write here sets both, and i
         # is read back from the state after a nested loop, which may write it.
         self.iterator, pad = loop.iterator, " " * 12
@@ -543,8 +573,8 @@ class _LoopSource:
         self.lines += [f"        state[{it}] = i = {self.arg(r.start)}",
                        f"        ticks = {head + 1}", f"        while i < {self.arg(r.stop)}:"]
         # The first statement counts the test's, the body block's and then the increment's steps.
-        if not items or not all(self.ticked(s, pad, "1" if n else "ticks")
-                                for n, s in enumerate(reversed(items))):
+        if not stmts or not all(self.ticked(s, pad, "1" if n else "ticks")
+                                for n, s in enumerate(stmts)):
             return None
         self.lines += [f"{pad}state[{it}] = i = i + {self.arg(r.step)}",
                        f"{pad}ticks = {head + 2}", f"        m.steps += ticks - {head}",

@@ -4,6 +4,7 @@ Each test prints a single CRITERION line so a log scan shows the verdicts.
 Criteria 3-5 share one fuzzing campaign (at least 500 generated programs).
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -19,6 +20,7 @@ from arraywitness import (
     classify_program,
     differential_check,
     emit_verifiable,
+    enumerate_runs,
     generate_program,
     loop_bound,
     parse,
@@ -150,6 +152,38 @@ def test_criterion_4_precision_fuzz(fuzz_campaign):
         f"{len(precise)} precise programs, {len(inconsistent)} with "
         "mismatched verdicts",
     )
+
+
+# Verdicts, witness choices and failing locations, recorded by
+# tools/verdict_golden.py; step totals are left out, as a reduced enumeration
+# may change them while verdicts must not.
+GOLDEN = json.loads(fixture_path("verdicts.json").read_text())
+
+
+def _outcome(v) -> list:
+    w = v.witness
+    return [v.outcome] if w is None else [v.outcome, w.nd_choices, w.failing_assert]
+
+
+def test_fixture_verdicts_match_the_golden():
+    seen = {}
+    for name in ("fig1_small", "fig5_small", "fig7_small"):
+        for hi in (1, 2):
+            p, cfg = load_fixture(f"{name}.c"), OracleConfig(value_domain=(0, hi))
+            seen[f"{name} 0..{hi}"] = {
+                "original": _outcome(enumerate_runs(p, cfg)),
+                "transformed": _outcome(enumerate_runs(transform_program(p), cfg)),
+            }
+    assert seen == GOLDEN["fixtures"]
+
+
+def test_fuzz_verdicts_match_the_golden(fuzz_campaign):
+    # The campaign's own results: nothing is enumerated a second time.
+    seen = {str(seed): None for seed in fuzz_campaign.over_budget}
+    for seed, diff in fuzz_campaign.results:
+        seen[str(seed)] = {"original": _outcome(diff.orig_verdict),
+                           "transformed": _outcome(diff.trans_verdict)}
+    assert seen == GOLDEN["seeds"]
 
 
 def test_criterion_5_output_conformance(fuzz_campaign):

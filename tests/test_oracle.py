@@ -136,6 +136,15 @@ def test_out_of_bounds_read_is_an_error():
         enumerate_runs(p, SMALL)
 
 
+@pytest.mark.parametrize("index", ["2", "nd(2, 2)"])
+def test_an_out_of_bounds_store_fails_before_its_value_is_evaluated(index):
+    # With or without a choice in the index, the index is checked first, so
+    # the division by zero in the value is never reached.
+    p = parse(f"int x;\nint a[2];\nmain() {{ a[{index}] = 1 / x; }}")
+    with pytest.raises(OracleError, match=r"^index 2 out of bounds for a\[2\] at location 4$"):
+        enumerate_runs(p, SMALL)
+
+
 # The programs below make no nondeterministic choice, so they exercise only
 # the choice-free evaluation path.
 
@@ -342,6 +351,31 @@ def test_budget_edge_of_a_choice_free_loop():
     assert enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=20)).safe
     with pytest.raises(BudgetExceeded):
         enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=19))
+
+
+@pytest.mark.parametrize("observe", [False, True], ids=["unobserved", "observed"])
+def test_budget_edge_of_choice_free_statements_outside_loops(observe):
+    # After one choice, every kind of choice-free statement runs once per
+    # value: a scalar and an array store, a chain assignment, a guarded
+    # assignment, an if with a bare statement, an assert and a loop. At x == 3
+    # the guarded assignment's discarded side divides by zero, as the 67th step.
+    p = parse(
+        "int i, k, x, y, z;\nint a[3];\n"
+        "main() { x = nd(); k = x + 1; a[x % 3] = k; y = z = k * 2;"
+        " (x < 3) ? y = y + 1 : 1 / (x - 3); if (x == 2) k = k + 1;"
+        " assert(y == z + 1); for (i = 0; i < 3; i++) { k = k + a[i]; } }"
+    )
+    division = p.body.stmts[4].discard
+    state = {"i": 0, "k": 4, "x": 3, "y": 8, "z": 8, "a[0]": 4, "a[1]": 0, "a[2]": 0}
+    log = "a0 a0 a1 a2 a1 a0 a1 a2 a2 a0 a1 a2 a0".split() if observe else []
+    seen = []
+    access = (lambda a, i: seen.append(f"{a}{i}")) if observe else None
+    v = enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=67), on_array_access=access)
+    assert (v.steps, v.witness, seen) == (67, Trace([3], division.loc, state), log)
+    seen.clear()
+    with pytest.raises(BudgetExceeded):
+        enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=66), on_array_access=access)
+    assert seen == log
 
 
 # The programs below run choice-free loops; each behaviour they pin is the
@@ -704,10 +738,13 @@ def test_sequential_choices_use_no_python_stack():
 @pytest.mark.parametrize("source", [
     "int x;\nmain() { x = nd(); assert(x < 2); }",
     "int i, x;\nint a[3];\nmain() { for (i = 0; i < 3; i++) { a[i] = i; x = x + a[i]; } }",
-], ids=["choiceful", "choice-free-loop"])
+    "int x, y, z;\nint a[2];\n"
+    "main() { x = nd(); y = x + 1; a[x] = y; y = z = y * 2; (x == 0) ? y = 1 : 2; assert(y > 0); }",
+], ids=["choiceful", "choice-free-loop", "straight-line"])
 def test_a_machine_is_freed_without_the_cyclic_collector(source):
-    # Choice closures and generated loop code hold the machine's odometer,
-    # not the machine, so dropping the machine frees it at once.
+    # Choice closures, statement closures and generated loop code hold the
+    # machine's odometer, not the machine, so dropping the machine frees it
+    # at once.
     p = parse(source)
     gc.disable()
     try:
