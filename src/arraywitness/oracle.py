@@ -5,17 +5,18 @@ Enumerates every combination of nondeterministic choices (``nd()``,
 first failure found is the lexicographically smallest witness. Serves as the
 ground truth for the differential soundness and precision checks.
 
-Statements run from an explicit work stack. A statement that makes no choice
-is one work item, bound once per machine when its statement list is first
-reached: a closure over its expressions' closures or, for a loop that holds no
-break or continue, generated Python code compiled once per shape. A statement
-that makes a choice forks one branch per combination of its choices; the
-branches wait on a stack of forks, not on Python's call stack, so a run may
-make any number of choices. Every expression compiles to one closure, which
-alone implements its operators outside generated loop code; an expression with
-choices runs as an odometer over its closure, once per combination of its
-choices. Loops run from their constant ranges (any other loop is refused at
-set-up); a loop left on the work stack runs as one item per iteration.
+Statements run from an explicit work stack. Every statement is bound once per
+machine, when the machine is built, to one work item: a closure over its
+expressions' closures that runs it on a state and the work stack beneath it,
+or, for a loop that holds no break or continue, generated Python code compiled
+once per shape. Every expression compiles to one closure, which alone
+implements its operators outside generated loop code. A statement whose own
+expressions make a choice is a fork: its closure runs as an odometer, once per
+combination of the choices it reaches, each time on a copy of the state and
+work before it. Forks wait on a stack of their own, not on Python's call
+stack, so a run may make any number of choices. Loops run from their constant
+ranges (any other loop is refused at set-up); a loop left on the work stack
+runs as one item per iteration.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .analysis import ARRAY_INT, _read_var, analyze_program, loop_bound
 from .astnodes import (
@@ -223,11 +224,11 @@ def _copy_state(state: dict) -> dict:
 
 class _Odometer:
     """The step counter, a replay's script of choices (choice points then consume
-    it instead of enumerating), and the odometer of the choiceful expression
-    under evaluation, as ``eval`` sets it: its digits (the values of the choices
-    reached), their upper bounds, the next digit to read, and the choices made
-    before the expression. Closures and generated loop code hold this, not the
-    machine, so no machine is part of a reference cycle."""
+    it instead of enumerating), and the odometer of the fork under way, as
+    ``run`` sets it before each run of a fork's closure: its digits (the values
+    of the choices reached), their upper bounds, the next digit to read, and the
+    choices made before the statement. Closures and generated loop code hold
+    this, not the machine, so no machine is part of a reference cycle."""
 
     __slots__ = ("steps", "limit", "script", "vals", "his", "pos", "base")
 
@@ -236,8 +237,8 @@ class _Odometer:
         self.vals, self.his, self.pos, self.base = [], [], 0, []
 
     def choose(self, lo: int, hi: int, loc: int) -> int:
-        """The current evaluation's next digit: the odometer's, or a new one at
-        ``lo``. On replay a new digit is the scripted value, its own upper bound."""
+        """The fork's next digit: the odometer's, or a new one at ``lo``. On
+        replay a new digit is the scripted value, its own upper bound."""
         vals, pos = self.vals, self.pos
         self.pos = pos + 1
         if pos < len(vals):
@@ -290,7 +291,7 @@ class _Machine:
                 if (r := loop_bound(node)) is None:
                     raise NonConstantBound(f"loop at location {node.loc} has a non-constant bound")
                 self._loops[id(node)] = (r, 1 + isinstance(node.body, Block))
-        self._built: dict[int, list] = {}  # statement lists' work items, built when first reached
+        self._root = self._bind(p.body)
 
     def _compile(self, e) -> Callable[[dict], int]:
         """Return ``e``'s evaluation closure, compiling (and caching) its
@@ -343,210 +344,164 @@ class _Machine:
 
         return read
 
-    # -- expression evaluation --------------------------------------------
-
-    def eval(self, e, state, choices: list[int]) -> Iterator[tuple[int, list[int]]]:
-        """Enumerate the possible values of ``e``, threading choice lists.
-
-        A choiceful ``e`` runs as an odometer over its closure: each call reads
-        one digit per choice it reaches, and the last digit turns fastest, so
-        values come out in lexicographic order of their choices."""
-        det = self._det[id(e)]
-        if det is not None:
-            try:
-                v = det(state)
-            except _Fault as d:
-                # Carry the choices made before this operand, so replaying
-                # the trace reproduces the division failure.
-                raise _Failure(d.loc, choices, _flatten(state)) from None
-            yield v, choices
-            return
-        fn, vals, his, odo = self._closures[id(e)], [], [], self.odo
-        while True:
-            # Between two yields the fork stack runs a branch, which evaluates: reset the odometer.
-            odo.vals, odo.his, odo.pos, odo.base = vals, his, 0, choices
-            try:
-                v = fn(state)
-            except _Empty:  # no value on this branch: advance past it
-                pass
-            except _Fault as d:
-                raise _Failure(d.loc, choices + vals, _flatten(state)) from None
-            else:
-                yield v, choices + vals
-            while vals and vals[-1] == his[-1]:
-                del vals[-1], his[-1]
-            if not vals:
-                return
-            vals[-1] += 1
-
     # -- statement execution ----------------------------------------------
 
-    def run(self, work: list, state: dict, choices: list[int]) -> None:
-        """Execute the work stack and, depth first, each branch a statement forks;
-        raises _Failure on the first failing run, returns after all completed safely."""
+    def run(self, state: dict) -> None:
+        """Run the program from ``state`` and, depth first, every branch of its
+        forks; raise _Failure on the first failing run, return after all completed
+        safely. Each popped item counts one step; a fork's runs of its closure count none."""
         odo, limit = self.odo, self.odo.limit
-        forks = [(iter([(state, choices, None)]), work)]  # branches left, the work beneath
+        forks: list[tuple] = []  # closure, digits, their bounds; choices, state, work before it
+        work, choices = [self._root], []
+        while True:
+            while work:
+                odo.steps += 1
+                if odo.steps > limit:
+                    raise _over_budget(limit)
+                try:
+                    fork = work.pop()(state, work)
+                except _Fault as d:
+                    raise _Failure(d.loc, choices, _flatten(state)) from None
+                if fork is not None:
+                    forks.append((fork, [], [], choices, state, work))
+                    break
+            else:
+                if self.on_complete is not None:
+                    self.on_complete(_flatten(state))
+            if (branch := self._next_branch(forks)) is None:
+                return
+            state, work, choices = branch
+
+    def _next_branch(self, forks: list) -> tuple | None:
+        """The innermost fork's next branch, run through the fork's statement: its
+        state, work and choices; None when every fork is done.
+
+        A fork's closure runs as an odometer on a copy of the state and work before
+        it: each run reads one digit per choice it reaches, the last digit turns
+        fastest, and a run that meets an empty ``nd(lo, hi)`` advances past its branch."""
+        odo = self.odo
         while forks:
-            branches, beneath = forks[-1]
-            for state, choices, push in branches:
-                work = list(beneath) if push is None else [*beneath, push]
-                while work:
-                    odo.steps += 1
-                    if odo.steps > limit:
-                        raise _over_budget(limit)
-                    try:
-                        if callable(item := work.pop()):  # a choice-free statement, run in place
-                            item(state)
-                        elif (fork := self._exec_stmt(item, work, state, choices)) is not None:
-                            forks.append((fork, work))
-                            break
-                    except _Fault as d:
-                        raise _Failure(d.loc, choices, _flatten(state)) from None
-                else:
-                    if self.on_complete is not None:
-                        self.on_complete(_flatten(state))
-                    continue
-                break  # a new fork: run its branches first
+            fn, vals, his, base, before, beneath = forks[-1]
+            odo.vals, odo.his, odo.pos, odo.base = vals, his, 0, base
+            state, work = _copy_state(before), list(beneath)
+            try:
+                fn(state, work)
+            except _Empty:  # no value on this branch: advance past it
+                state = None
+            except _Fault as d:  # with the digits read, so that its replay fails there too
+                raise _Failure(d.loc, base + vals, _flatten(before)) from None
+            choices = base + vals
+            while vals and vals[-1] == his[-1]:
+                del vals[-1], his[-1]
+            if vals:
+                vals[-1] += 1
             else:
                 forks.pop()
+            if state is not None:
+                return state, work, choices
+        return None
 
-    def _items(self, s) -> list:
-        """The work items of a Block's statements, or of ``s`` alone, last first; built once."""
-        if (items := self._built.get(id(s))) is None:
-            stmts = s.stmts if isinstance(s, Block) else [s]
-            items = self._built[id(s)] = [self._bind(x) for x in reversed(stmts)]
-        return items
-
-    def _branch(self, s):
-        """An If's branch as one work item; a Block expands, counting its step, when popped."""
-        return s if s is None or isinstance(s, Block) else self._items(s)[0]
-
-    def _bind(self, s):
-        """``s`` as a work item: if choice-free, a closure over its expressions' closures
-        (a loop's generated code) that runs it in place on a state; else ``s`` itself."""
-        det, notify = self._det, self.on_array_access
+    def _bind(self, s) -> Callable[[dict, list], Callable | None]:
+        """``s`` as its work item, which runs it on a state and the work stack
+        beneath it. If ``s``'s own expressions make a choice, the item is a fork:
+        it returns the closure that ``run`` re-runs once per combination of them."""
+        fns, notify, own = self._closures, self.on_array_access, ()
         match s:
-            case Assign(Var(name), value) if val := det[id(value)]:
-                def item(state):
+            case Assign(Var(name), value):
+                val, own = fns[id(value)], (value,)
+
+                def stmt(state, work):
                     state[name] = val(state)
-            case ChainAssign(targets, value) if val := det[id(value)]:
-                def item(state):
+            case ChainAssign(targets, value):
+                val, own = fns[id(value)], (value,)
+
+                def stmt(state, work):
                     v = val(state)
                     for t in targets:
                         state[t] = v
-            case Assign(ArrayAccess(array, index), value, loc) if (idx := det[id(index)]) and (
-                    val := det[id(value)]):
-                def item(state):
+            case Assign(ArrayAccess(array, index), value, loc):
+                idx, val, own = fns[id(index)], fns[id(value)], (index, value)
+
+                def stmt(state, work):
                     i, arr = idx(state), state[array]
                     if not 0 <= i < len(arr):
                         raise _out_of_bounds(array, i, len(arr), loc)
                     arr[i] = val(state)
                     if notify is not None:
                         notify(array, i)
-            case TernaryAssign(cond, Var(name), value, discard) if None not in (
-                    test := det[id(cond)], val := det[id(value)], other := det[id(discard)]):
-                def item(state):  # the discarded side runs for its possible division failure only
+            case TernaryAssign(cond, Var(name), value, discard):
+                own = (cond, value, discard)
+                test, val, other = (fns[id(e)] for e in own)
+
+                def stmt(state, work):  # the discarded side runs for its choices and faults only
                     if test(state) != 0:
                         state[name] = val(state)
                     else:
                         other(state)
-            case Assert(cond, loc) if test := det[id(cond)]:
-                def item(state):
+            case Assert(cond, loc):
+                test, own = fns[id(cond)], (cond,)
+
+                def stmt(state, work):
                     if test(state) == 0:
                         raise _Fault(loc)
-            case For():
-                return _LoopSource(self).bind(s) or s
-            case _:
-                return s
-        return item
-
-    def _exec_stmt(self, s, work, state, choices) -> Iterator | None:
-        """Steer the work stack by ``s``, a node that ``_bind`` left or a loop's
-        marker, or return ``s``'s branches if it makes a choice."""
-        match s:
-            case ("next", loop, items):  # increment, and in range push back under the body
-                r, head = self._loops[id(loop)]
-                state[loop.iterator] += r.step
-                if state[loop.iterator] < r.stop:
-                    work.append(s)
-                    work += items
-                    self.odo.steps += head  # the test and the body block: neither can fail
-                else:
-                    self.odo.steps += 1
-                if self.odo.steps > self.odo.limit:
-                    raise _over_budget(self.odo.limit)
-            case Block():
-                work += self._items(s)
-            case Assign(Var(name), value):
-                return self._assigning(value, (name,), state, choices)
-            case Assign(ArrayAccess(array, index), value):
-                return self._storing(array, index, value, s.loc, state, choices)
-            case ChainAssign(targets, value):
-                return self._assigning(value, targets, state, choices)
-            case Assert(cond):
-                return self._testing(cond, s.loc, None, None, state, choices)
             case If(cond, then, orelse):
-                if (test := self._det[id(cond)]) is None:
-                    return self._testing(cond, None, then, orelse, state, choices)
-                if (taken := then if test(state) != 0 else orelse) is not None:
-                    work.append(self._branch(taken))
-            case TernaryAssign(cond, Var(name), value, discard):
-                return self._guarding(cond, name, value, discard, state, choices)
-            case For(iterator=it, body=body):  # its step stands for the increment to the range's start
-                init = self._loops[id(s)][0]
-                state[it] = init.start - init.step
-                self._exec_stmt(("next", s, self._items(body)), work, state, choices)
-            case Break():  # leaves the loop: pops through its marker
-                while work:
-                    item = work.pop()
-                    if isinstance(item, tuple):
-                        break
-            case Continue():  # ends the iteration: stops at the marker
-                while work:
-                    top = work[-1]
-                    if isinstance(top, tuple):
-                        break
-                    work.pop()
+                test, own = fns[id(cond)], (cond,)
+                then, orelse = self._bind(then), None if orelse is None else self._bind(orelse)
+
+                def stmt(state, work):
+                    if (taken := then if test(state) != 0 else orelse) is not None:
+                        work.append(taken)
+            case Block(stmts):
+                items = [self._bind(x) for x in reversed(stmts)]
+
+                def stmt(state, work):
+                    work += items
+            case For(iterator=it, body=body):  # generated code, or an entry item and a marker
+                if run := _LoopSource(self).bind(s):
+                    return run
+                r, head = self._loops[id(s)]
+                body = body.stmts if isinstance(body, Block) else [body]
+                marker = _Marker(self.odo, it, r, head, [self._bind(x) for x in reversed(body)])
+
+                def stmt(state, work):  # its step stands for the increment to the range's start
+                    state[it] = r.start - r.step
+                    marker(state, work)
+            case Break():
+                def stmt(state, work):  # leaves the loop: pops through its marker
+                    while work and not isinstance(work.pop(), _Marker):
+                        pass
+            case Continue():
+                def stmt(state, work):  # ends the iteration: stops at its marker
+                    while work and not isinstance(work[-1], _Marker):
+                        work.pop()
             case _:
                 raise OracleError(f"cannot execute {type(s).__name__}")
-        return None
+        if any(self._det[id(e)] is None for e in own):
+            return lambda state, work: stmt
+        return stmt
 
-    # A choiceful statement's branches, in DFS order: each is a state, its
-    # choices, and the item it pushes on the work beneath (or None).
 
-    def _assigning(self, value, targets, state, choices) -> Iterator[tuple]:
-        for v, ch in self.eval(value, state, choices):
-            st = _copy_state(state)
-            for t in targets:
-                st[t] = v
-            yield st, ch, None
+class _Marker:
+    """A loop's place on the work stack, under each iteration's body. Popped, it
+    increments the iterator and, while in range, pushes itself back under the
+    body's items. ``break`` and ``continue`` find it by its type."""
 
-    def _storing(self, array, index, value, loc, state, choices) -> Iterator[tuple]:
-        for i, ch1 in self.eval(index, state, choices):
-            if not 0 <= i < len(state[array]):
-                raise _out_of_bounds(array, i, len(state[array]), loc)
-            for v, ch2 in self.eval(value, state, ch1):
-                st = _copy_state(state)
-                st[array][i] = v
-                if self.on_array_access is not None:
-                    self.on_array_access(array, i)
-                yield st, ch2, None
+    __slots__ = ("odo", "iterator", "range", "head", "items")
 
-    def _guarding(self, cond, name, value, discard, state, choices) -> Iterator[tuple]:
-        for c, ch1 in self.eval(cond, state, choices):
-            # The discarded side is evaluated for its choices and possible division failure only.
-            for v, ch2 in self.eval(value if c != 0 else discard, state, ch1):
-                st = _copy_state(state)
-                if c != 0:
-                    st[name] = v
-                yield st, ch2, None
+    def __init__(self, odo: _Odometer, iterator: str, r: range, head: int, items: list):
+        self.odo, self.iterator, self.range, self.head, self.items = odo, iterator, r, head, items
 
-    def _testing(self, cond, fails_at, then, orelse, state, choices) -> Iterator[tuple]:
-        """An ``If``'s branches, or an ``Assert``'s when it ``fails_at`` a location."""
-        for v, ch in self.eval(cond, state, choices):
-            if v == 0 and fails_at is not None:
-                raise _Failure(fails_at, ch, _flatten(state))
-            yield _copy_state(state), ch, self._branch(then if v != 0 else orelse)
+    def __call__(self, state: dict, work: list) -> None:
+        odo, r = self.odo, self.range
+        state[self.iterator] += r.step
+        if state[self.iterator] < r.stop:
+            work.append(self)
+            work += self.items
+            odo.steps += self.head  # the test and the body block: neither can fail
+        else:
+            odo.steps += 1
+        if odo.steps > odo.limit:
+            raise _over_budget(odo.limit)
 
 
 class _LoopSource:
@@ -581,7 +536,7 @@ class _LoopSource:
                        "        if m.steps > limit: raise _over_budget(limit)"]
         params = ", ".join(f"v{k}" for k in range(len(self.args)))
         source = "\n".join([f"def bind(m, notify, {params}):", "    limit = m.limit",
-                            "    def loop(state):",
+                            "    def loop(state, work):",
                             *(f"        {a} = state[{n}]" for a, n in self.arrays.items()),
                             *self.lines, "    return loop"])
         return _loop_template(source)(self.machine.odo, self.notify, *self.args)
@@ -606,7 +561,7 @@ class _LoopSource:
                 return all(self.ticked(x, pad) for x in stmts)
             case For():
                 run = _LoopSource(self.machine).bind(s)
-                out += [f"{pad}{self.arg(run)}(state)", f"{pad}i = state[{self.it}]"]
+                out += [f"{pad}{self.arg(run)}(state, work)", f"{pad}i = state[{self.it}]"]
                 return run is not None
             case If(cond, then, orelse) if det[id(cond)] is not None:
                 out.append(f"{pad}if {self.expr(cond, True)}:")
@@ -695,7 +650,7 @@ def _drive(p: Program, cfg: OracleConfig | None, **machine_args) -> Verdict:
         p = scale_arrays(p, cfg.array_size_override)
     machine = _Machine(p, cfg, **machine_args)
     try:
-        machine.run([p.body], _initial_state(p), [])
+        machine.run(_initial_state(p))
     except _Failure as f:
         return Verdict("unsafe", Trace(f.choices, f.loc, f.state), machine.odo.steps)
     return Verdict("safe", steps=machine.odo.steps)
@@ -712,7 +667,7 @@ def enumerate_runs(
     Returns Safe, or Unsafe with the lexicographically first failing trace.
     Division or modulo by zero makes the offending run unsafe at that
     location. ``on_array_access`` observes every in-bounds array read and
-    write as ``(array_name, index)``; a read in an expression that makes
+    write as ``(array_name, index)``; an access in a statement that makes
     choices, once per combination of them.
     """
     return _drive(p, cfg, on_complete=on_complete, on_array_access=on_array_access)

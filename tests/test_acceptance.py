@@ -6,8 +6,10 @@ Criteria 3-5 share one fuzzing campaign (at least 500 generated programs).
 
 import json
 import os
+import pathlib
 import shutil
 import subprocess
+import sys
 import time
 from dataclasses import dataclass
 
@@ -175,6 +177,18 @@ def test_fixture_verdicts_match_the_golden():
                 "transformed": _outcome(enumerate_runs(transform_program(p), cfg)),
             }
     assert seen == GOLDEN["fixtures"]
+
+
+def test_oracle_outputs_match_the_pinned_digest():
+    # tools/oracle_digest.py hashes the steps, every completed run's state, the
+    # access logs and the witness replays of the fixtures and generated seeds
+    # 0-19, so a change to anything the oracle reports changes this value. The
+    # full 500-seed digest is run by hand (README).
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "oracle_digest.py"
+    proc = subprocess.run([sys.executable, str(tool), "--seeds", "20"], capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert proc.stdout.strip() == (
+        "6cda5fa50750da1f93fddb659b34773403d40906f89a5818a86cd16d7582d211")
 
 
 def test_fuzz_verdicts_match_the_golden(fuzz_campaign):

@@ -216,6 +216,17 @@ def test_array_access_callbacks_in_evaluation_order():
     bit = OracleConfig(value_domain=(0, 1))
     assert enumerate_runs(p, bit, on_array_access=lambda a, i: seen.append((a, i))).safe
     assert seen == [("a", 1), ("a", 1)]
+    # A choiceful statement runs once per combination of its choices, so every
+    # read and write of it is logged once per branch, earlier expressions too.
+    for body, log in [
+        ("a[b[0]] = nd();", ["b0", "a0", "b0", "a0"]),
+        ("(c[0] == 0) ? x = nd() : 0;", ["c0", "c0"]),
+        ("a[nd(0, 1)] = b[1] + nd();", ["b1", "a0", "b1", "a0", "b1", "a1", "b1", "a1"]),
+    ]:
+        p = parse("int x;\nint a[2], b[2], c[2];\nmain() { " + body + " }")
+        seen = []
+        assert enumerate_runs(p, bit, on_array_access=lambda a, i: seen.append(f"{a}{i}")).safe
+        assert seen == log, body
 
 
 def test_scale_arrays_rewrites_size_constants(fig1):
@@ -749,10 +760,36 @@ def test_a_machine_is_freed_without_the_cyclic_collector(source):
     gc.disable()
     try:
         m = _Machine(p, BIT)
-        m.run([p.body], _initial_state(p), [])
+        m.run(_initial_state(p))
         assert m.odo.steps > 0
         freed = weakref.ref(m)
         del m
         assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_dropped_machines_leave_no_cyclic_garbage():
+    # Loop markers find their loop by type and generated code holds the
+    # odometer, so no item refers to itself or to its machine: machines run and
+    # dropped with the collector off leave it nothing to find.
+    programs = [parse(s) for s in (
+        "int i;\nint a[3];\n"
+        "main() { for (i = 0; i < 3; i++) { if (nd() == 1) break; a[i] = i; } }",
+        "int i;\nint a[3];\n"
+        "main() { for (i = 0; i < 3; i++) { if (nd() == 1) continue; a[i] = i; } }",
+        "int i, x;\nint a[3];\nmain() { for (i = 0; i < 3; i++) { a[i] = i; x = x + a[i]; } }",
+        "int x, y;\nint a[2];\nmain() { x = nd(); a[x] = nd(); (x == 0) ? y = nd() : 1; "
+        "assert(y < 2); }",
+    )]
+    gc.collect()
+    gc.disable()
+    try:
+        for p in programs:
+            m = _Machine(p, BIT)
+            m.run(_initial_state(p))
+            assert m.odo.steps > 0
+            del m
+        assert gc.collect() == 0
     finally:
         gc.enable()
