@@ -6,17 +6,18 @@ first failure found is the lexicographically smallest witness. Serves as the
 ground truth for the differential soundness and precision checks.
 
 Statements run from an explicit work stack. Every statement is bound once per
-machine, when the machine is built, to one work item: a closure over its
-expressions' closures that runs it on a state and the work stack beneath it,
-or, for a loop that holds no break or continue, generated Python code compiled
-once per shape. Every expression compiles to one closure, which alone
-implements its operators outside generated loop code. A statement whose own
-expressions make a choice is a fork: its closure runs as an odometer, once per
-combination of the choices it reaches, each time on a copy of the state and
-work before it. Forks wait on a stack of their own, not on Python's call
-stack, so a run may make any number of choices. Loops run from their constant
-ranges (any other loop is refused at set-up); a loop left on the work stack
-runs as one item per iteration.
+machine, when it is built, to one work item: a closure over its expressions'
+closures that runs it on a state and the work stack beneath it. Every
+expression compiles to one closure, which alone implements its operators
+outside generated loop code. A statement whose own expressions make a choice is
+a fork: its closure runs as an odometer, once per combination of the choices it
+reaches, on a copy of the state and work before it. Forks wait on a stack of
+their own, so a run may make any number of choices. Loops run from their
+constant ranges (any other loop is refused at set-up). One without a choice,
+break or continue that never writes its iterator is Python code generated once
+per shape; it runs on locals and drops the bounds check of an index that is its
+iterator when its range lies inside the array. Other loops take one work item
+per iteration.
 """
 
 from __future__ import annotations
@@ -420,10 +421,11 @@ class _Machine:
                     for t in targets:
                         state[t] = v
             case Assign(ArrayAccess(array, index), value, loc):
-                idx, val, own = fns[id(index)], fns[id(value)], (index, value)
+                idx, val, var = fns[id(index)], fns[id(value)], _read_var(index)
+                own = (index, value)
 
-                def stmt(state, work):
-                    i, arr = idx(state), state[array]
+                def stmt(state, work):  # an index that is a plain variable is read directly
+                    i, arr = state[var] if var else idx(state), state[array]
                     if not 0 <= i < len(arr):
                         raise _out_of_bounds(array, i, len(arr), loc)
                     arr[i] = val(state)
@@ -493,8 +495,8 @@ class _Marker:
 
     def __call__(self, state: dict, work: list) -> None:
         odo, r = self.odo, self.range
-        state[self.iterator] += r.step
-        if state[self.iterator] < r.stop:
+        state[self.iterator] = i = state[self.iterator] + r.step
+        if i < r.stop:
             work.append(self)
             work += self.items
             odo.steps += self.head  # the test and the body block: neither can fail
@@ -505,13 +507,17 @@ class _Marker:
 
 
 class _LoopSource:
-    """Python source for one choice-free loop. Each name and number of the program enters as
-    an argument ``v<k>``, never as text, so loops of one shape share a code object. A nested
-    loop is its own function (CPython refuses over 20 nested loops in one), and an expression
-    is inlined with at most one level of parentheses per node (it refuses over 200)."""
+    """Python source for one choice-free loop whose body, nested loops included, never writes its
+    iterator. It runs as ``for i in <range>`` on locals (the iterator, the step count ``s`` and each
+    array's list) and writes ``s`` and ``i`` back in one ``finally``; an access indexed by the bare
+    iterator has no bounds check when the range lies inside the array. Each name and number of the
+    program enters as an argument ``v<k>``, never as text, so loops of one shape share a code
+    object. A nested loop is its own function (CPython refuses over 20 nested loops in one), and an
+    expression is inlined with at most one level of parentheses per node (it refuses over 200)."""
 
-    def __init__(self, machine: _Machine):
+    def __init__(self, machine: _Machine, fixed: frozenset = frozenset()):
         self.machine, self.det, self.notify = machine, machine._det, machine.on_array_access
+        self.fixed = fixed  # the iterators of this loop and the generated loops around it
         self.args: list = []
         self.keys: dict = {}  # a name, or (array,) for its size -> its argument
         self.arrays: dict[str, str] = {}  # local holding an array's list -> its name's argument
@@ -521,24 +527,24 @@ class _LoopSource:
         """The loop, run in place on a state; None if it stays on the work stack."""
         r, head = self.machine._loops[id(loop)]
         stmts = loop.body.stmts if isinstance(loop.body, Block) else [loop.body]
-        # The local i mirrors the iterator: every write here sets both, and i
-        # is read back from the state after a nested loop, which may write it.
-        self.iterator, pad = loop.iterator, " " * 12
+        self.iterator, self.range, self.fixed = loop.iterator, r, self.fixed | {loop.iterator}
         it = self.it = self.arg(loop.iterator, loop.iterator)
-        self.lines += [f"        state[{it}] = i = {self.arg(r.start)}",
-                       f"        ticks = {head + 1}", f"        while i < {self.arg(r.stop)}:"]
-        # The first statement counts the test's, the body block's and then the increment's steps.
-        if not stmts or not all(self.ticked(s, pad, "1" if n else "ticks")
-                                for n, s in enumerate(stmts)):
+        # s starts one short: an iteration's first statement also counts the increment before
+        # it, the test and the body block; the exit counts the last increment and test.
+        self.lines.append(f"            for i in {self.arg(r)}:")
+        if not stmts or not all(self.ticked(x, " " * 16, str(head + 2) if n == 0 else "1")
+                                for n, x in enumerate(stmts)):
             return None
-        self.lines += [f"{pad}state[{it}] = i = i + {self.arg(r.step)}",
-                       f"{pad}ticks = {head + 2}", f"        m.steps += ticks - {head}",
-                       "        if m.steps > limit: raise _over_budget(limit)"]
+        end = self.arg(r.start + len(r) * r.step)  # the iterator's value after the loop
+        self.lines += [f"            i = {end}", "            s += 2",
+                       "            if s > limit: raise _over_budget(limit)", "        finally:",
+                       "            m.steps = s", f"            state[{it}] = i"]
         params = ", ".join(f"v{k}" for k in range(len(self.args)))
         source = "\n".join([f"def bind(m, notify, {params}):", "    limit = m.limit",
                             "    def loop(state, work):",
                             *(f"        {a} = state[{n}]" for a, n in self.arrays.items()),
-                            *self.lines, "    return loop"])
+                            "        s = m.steps - 1", "        try:", *self.lines,
+                            "    return loop"])
         return _loop_template(source)(self.machine.odo, self.notify, *self.args)
 
     def arg(self, value, key=None) -> str:  # one per key, a fresh one without
@@ -552,31 +558,38 @@ class _LoopSource:
         self.arrays["a" + n[1:]] = n
         return "a" + n[1:], n, self.arg(self.machine._sizes[name], (name,))
 
+    def proven(self, index, array: str) -> bool:  # the bare iterator, its range inside array
+        r, size = self.range, self.machine._sizes[array]
+        return _read_var(index) == self.iterator and (not r or 0 <= r.start and r[-1] < size)
+
     def ticked(self, s, pad: str, ticks: str = "1") -> bool:
         """Count ``s``'s step, check the budget, append ``s``; False if it needs the work stack."""
         det, out, inner = self.det, self.lines, pad + "    "
-        out += [f"{pad}m.steps += {ticks}", f"{pad}if m.steps > limit: raise _over_budget(limit)"]
+        out += [f"{pad}s += {ticks}", f"{pad}if s > limit: raise _over_budget(limit)"]
         match s:
             case Block(stmts):
                 return all(self.ticked(x, pad) for x in stmts)
-            case For():
-                run = _LoopSource(self.machine).bind(s)
-                out += [f"{pad}{self.arg(run)}(state, work)", f"{pad}i = state[{self.it}]"]
-                return run is not None
+            case For():  # the nested loop reads the iterator and the steps from the state
+                run = s.iterator not in self.fixed and _LoopSource(self.machine, self.fixed).bind(s)
+                out += [f"{pad}state[{self.it}] = i", f"{pad}m.steps = s",
+                        f"{pad}try: {self.arg(run)}(state, work)", f"{pad}finally: s = m.steps"]
+                return bool(run)
             case If(cond, then, orelse) if det[id(cond)] is not None:
                 out.append(f"{pad}if {self.expr(cond, True)}:")
                 ok = self.ticked(then, inner)
                 out.append(f"{pad}else:" if orelse is not None else f"{pad}else: pass")
                 return ok and (orelse is None or self.ticked(orelse, inner))
-            case Assign(Var(name), value) if det[id(value)] is not None:
-                alias = "i = " if name == self.iterator else ""
-                out.append(f"{pad}state[{self.arg(name, name)}] = {alias}{self.expr(value)}")
+            case Assign(Var(name), value) if det[id(value)] is not None and name not in self.fixed:
+                out.append(f"{pad}state[{self.arg(name, name)}] = {self.expr(value)}")
                 return True
             case Assign(ArrayAccess(array, index), value) if det[id(index)] and det[id(value)]:
                 a, n, size = self.array(array)
-                out += [f"{pad}k = {self.expr(index)}",
-                        f"{pad}if not 0 <= k < {size}: _oob({n}, k, {size}, {self.arg(s.loc)})",
-                        f"{pad}{a}[k] = {self.expr(value)}", f"{pad}if notify: notify({n}, k)"]
+                k = "i" if self.proven(index, array) else "k"
+                if k == "k":
+                    out += [f"{pad}k = {self.expr(index)}",
+                            f"{pad}if not 0 <= k < {size}: _oob({n}, k, {size}, {self.arg(s.loc)})"]
+                out.append(f"{pad}{a}[{k}] = {self.expr(value)}")
+                out += [f"{pad}notify({n}, {k})"] if self.notify else []
                 return True
             case Assert(cond) if det[id(cond)] is not None:
                 test = self.expr(cond, True)
@@ -595,9 +608,11 @@ class _LoopSource:
                 return f"_divide({op!r}, {self.expr(lhs)}, {self.expr(rhs)}, {self.arg(e.loc)})"
             case Read(ArrayAccess(array, index)):
                 a, n, size = self.array(array)
-                cell = f"(notify({n}, t), {a}[t])[1]" if self.notify else f"{a}[t]"
-                text = (f"{cell} if 0 <= (t := {self.expr(index)}) < {size} "
-                        f"else _oob({n}, t, {size}, {self.arg(e.loc)})")
+                t = "i" if self.proven(index, array) else "t"
+                text = f"(notify({n}, {t}), {a}[{t}])[1]" if self.notify else f"{a}[{t}]"
+                if t == "t":
+                    text = (f"{text} if 0 <= (t := {self.expr(index)}) < {size} "
+                            f"else _oob({n}, t, {size}, {self.arg(e.loc)})")
             case BinOp(op, lhs, rhs):
                 logic = {"&&": "and", "||": "or"}.get(op)
                 lhs, rhs = self.expr(lhs, bool(logic), True), self.expr(rhs, bool(logic), True)

@@ -4,6 +4,7 @@ Each test prints a single CRITERION line so a log scan shows the verdicts.
 Criteria 3-5 share one fuzzing campaign (at least 500 generated programs).
 """
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -189,6 +190,27 @@ def test_oracle_outputs_match_the_pinned_digest():
                           text=True, timeout=300, check=True)
     assert proc.stdout.strip() == (
         "6cda5fa50750da1f93fddb659b34773403d40906f89a5818a86cd16d7582d211")
+
+
+def test_oracle_digest_per_case_lines_name_each_case(monkeypatch, capsys):
+    # --per-case prints each case's label, its value domain and the sha256 of
+    # that case alone, then the same total digest as without the flag.
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "oracle_digest.py"
+    spec = importlib.util.spec_from_file_location("oracle_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    cfg = OracleConfig(value_domain=(0, 1))
+    cases = [("safe", lambda: parse("int x;\nmain() { x = nd(); }"), cfg),
+             ("unsafe", lambda: parse("int x;\nmain() { x = nd(); assert(x == 0); }"), cfg)]
+
+    def digest(selected, *flags):
+        monkeypatch.setattr(tool, "programs", lambda seeds: iter(selected))
+        assert tool.main(list(flags)) == 0
+        return capsys.readouterr().out.splitlines()
+
+    *lines, total = digest(cases, "--per-case")
+    assert [total] == digest(cases)
+    assert lines == [f"{case[0]} at 0..1: {digest([case])[0]}" for case in cases]
 
 
 def test_fuzz_verdicts_match_the_golden(fuzz_campaign):

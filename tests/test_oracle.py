@@ -13,7 +13,16 @@ from arraywitness import (
     replay_trace,
     transform_program,
 )
-from arraywitness.astnodes import PRECEDENCE, Assert, Assign, BinOp, NdRange, walk
+from arraywitness.astnodes import (
+    PRECEDENCE,
+    ArrayAccess,
+    Assert,
+    Assign,
+    BinOp,
+    NdRange,
+    Read,
+    walk,
+)
 from arraywitness.oracle import (
     BudgetExceeded,
     NonConstantBound,
@@ -423,6 +432,59 @@ def test_failing_assert_in_a_nested_choice_free_loop_keeps_the_outer_choices():
     assert replay_trace(p, v.witness.nd_choices, SMALL).witness == v.witness
 
 
+def test_steps_of_a_failure_in_a_nested_choice_free_loop():
+    # Both loops run as generated code. The outer one counts its steps in a
+    # local, hands them to the inner one through the odometer, and takes them
+    # back after the call even when the inner loop's assert fails: so the
+    # failure is reached at exactly 147 steps.
+    p = parse(
+        "int i, j, k, x;\n"
+        "main() { x = input(); for (i = 0; i < 3; i++) { k = k + x;"
+        " for (j = 0; j < 3; j++) { assert(k != 4); } k = k + 0; } }"
+    )
+    check = p.body.stmts[1].body.stmts[1].body.stmts[0]
+    witness = Trace([2], check.loc, {"i": 1, "j": 0, "k": 4, "x": 2})
+    before = _loop_template.cache_info()
+    v = enumerate_runs(p, SMALL)
+    after = _loop_template.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 2
+    assert (v.outcome, v.steps, v.witness) == ("unsafe", 147, witness)
+    at_budget = enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=147))
+    assert (at_budget.steps, at_budget.witness) == (147, witness)
+    with pytest.raises(BudgetExceeded):
+        enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=146))
+
+
+# Generated loop code drops the bounds check of an access indexed by the
+# loop's own iterator when the loop's range lies inside the array. None of
+# these accesses is of that kind, so each keeps its check and stops at the
+# first cell past the array: an index that is not the bare iterator, a step
+# whose last value is past the array, an outer loop's iterator, and a loop
+# that writes its own iterator (which runs on the work stack).
+BOUNDS_CASES = {  # b's size, the loop, the index that fails
+    "iterator-plus-one-read": (2, "for (i = 0; i < 2; i++) { x = b[i + 1]; }", 2),
+    "iterator-plus-one-store": (2, "for (i = 0; i < 2; i++) { b[i + 1] = i; }", 2),
+    "step-past-the-end-read": (4, "for (i = 0; i < 5; i += 2) { x = x + b[i]; }", 4),
+    "step-past-the-end-store": (4, "for (i = 0; i < 5; i += 2) { b[i] = 1; }", 4),
+    "outer-iterator-in-an-inner-loop": (
+        2, "for (i = 0; i < 3; i++) { for (j = 0; j < 1; j++) { x = b[i]; } }", 2,
+    ),
+    "loop-writes-its-iterator": (2, "for (i = 0; i < 2; i++) { i = i + 2; b[i] = 1; }", 2),
+}
+
+
+@pytest.mark.parametrize("observe", [False, True], ids=["unobserved", "observed"])
+@pytest.mark.parametrize("case", BOUNDS_CASES)
+def test_bounds_checks_the_range_does_not_prove(case, observe):
+    size, loop, index = BOUNDS_CASES[case]
+    p = parse(f"int i, j, x;\nint b[{size}];\nmain() {{ {loop} }}")
+    (loc,) = [n.loc for n in walk(p) if isinstance(n, Assign) and isinstance(n.target, ArrayAccess)
+              or isinstance(n, Read) and isinstance(n.lv, ArrayAccess)]
+    message = rf"^index {index} out of bounds for b\[{size}\] at location {loc}$"
+    with pytest.raises(OracleError, match=message):
+        enumerate_runs(p, SMALL, on_array_access=(lambda a, i: None) if observe else None)
+
+
 def test_array_access_order_in_choice_free_loops():
     p = parse(
         "int i;\nint a[3], b[3];\n"
@@ -527,7 +589,8 @@ CHOICE_CASES = {
         " if (x == 0 || 6 / x > 9) { k = k + 2; } } assert(k != 3); }",
         [{"i": 3, "j": 0, "k": 6, "x": 0}], 52, ([1], "assert", {"i": 3, "j": 0, "k": 3, "x": 1}),
     ),
-    # The generated loop keeps its iterator in a local, which each of these writes.
+    # Each of these writes a loop's iterator inside that loop, which therefore
+    # runs on the work stack: generated loop code keeps its iterator in a local.
     "loop-writes-its-iterator": (
         LOOP + "k = 0; for (i = 0; i < 6; i++) { i = i + x; k = k + 1; } assert(k != 3); }",
         [{"i": 6, "j": 0, "k": 6, "x": 0}], 55, ([1], "assert", {"i": 6, "j": 0, "k": 3, "x": 1}),
@@ -736,6 +799,24 @@ def test_loops_of_one_shape_share_generated_code(monkeypatch):
     (source,) = sources
     for name in ("alpha", "total", "cells", "sum", "beta", "gamma", "store"):
         assert name not in source
+
+
+@pytest.mark.parametrize("observe", [False, True], ids=["unobserved", "observed"])
+def test_fig5_choice_free_loops_check_no_bounds(fig5, monkeypatch, observe):
+    # Every access in fig5's last two loops is indexed by the loop's own
+    # iterator, whose range is the arrays' cells, so their code checks none.
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr("arraywitness.oracle.compile", spy, raising=False)
+    _loop_template.cache_clear()
+    access = (lambda a, i: None) if observe else None
+    assert enumerate_runs(scale_arrays(fig5, 2), BIT, on_array_access=access).safe
+    assert len(sources) == 2
+    assert not [s for s in sources if "_oob(" in s]
 
 
 def test_sequential_choices_use_no_python_stack():

@@ -5,6 +5,7 @@ Run from the root of a checkout:
 
     python3 tools/oracle_digest.py            # fixtures and seeds 0-499
     python3 tools/oracle_digest.py --seeds 60 # fixtures and seeds 0-59
+    python3 tools/oracle_digest.py --per-case # also each case's own sha256
 
 For each program, original and transformed, it enumerates twice, once with
 and once without an ``on_array_access`` observer, and hashes the verdict, the
@@ -15,6 +16,9 @@ message. The programs are the small fixtures unscaled at domains 0..1 and
 4 cells, as criterion 2 runs them), and the generated programs at domain
 0..2 with a 400,000-step budget, as criterion 3 runs them. The digest is
 sha256 over ``repr`` values, so it does not depend on the process's hash seed.
+``--per-case`` first prints one line per case, its label, its value domain
+and the sha256 of what it adds to the digest, so that two checkouts' outputs, compared with
+``diff``, name the programs whose outputs differ.
 """
 
 from __future__ import annotations
@@ -61,39 +65,53 @@ def _pair(label, make, cfg):
     yield f"{label} transformed", lambda: transform_program(make()), cfg
 
 
-def digest_case(h, label: str, make, cfg: OracleConfig) -> None:
-    h.update(label.encode())
+def digest_case(update, label: str, make, cfg: OracleConfig) -> None:
+    """Feed ``update`` the bytes of one case's outputs."""
+    update(label.encode())
     try:
         program = make()
     except Exception as e:  # an error is an outcome too
-        h.update(repr((type(e).__name__, str(e))).encode())
+        update(repr((type(e).__name__, str(e))).encode())
         return
     for observe in (False, True):
         def complete(state):
-            h.update(repr(state).encode())
+            update(repr(state).encode())
 
         def access(array, i):
-            h.update(f"{array}[{i}]".encode())
+            update(f"{array}[{i}]".encode())
 
         try:
             v = enumerate_runs(program, cfg, on_complete=complete,
                                on_array_access=access if observe else None)
         except Exception as e:
-            h.update(repr((observe, type(e).__name__, str(e))).encode())
+            update(repr((observe, type(e).__name__, str(e))).encode())
             continue
-        h.update(repr((observe, v)).encode())
+        update(repr((observe, v)).encode())
         if v.witness is not None and not observe:
-            h.update(repr(replay_trace(program, v.witness.nd_choices, cfg)).encode())
+            update(repr(replay_trace(program, v.witness.nd_choices, cfg)).encode())
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=500,
                     help="check generated programs 0..N-1 (default 500)")
+    ap.add_argument("--per-case", action="store_true",
+                    help="first print each case's label and its own sha256")
     args = ap.parse_args(argv)
     h = hashlib.sha256()
     for label, make, cfg in programs(args.seeds):
-        digest_case(h, label, make, cfg)
+        if not args.per_case:
+            digest_case(h.update, label, make, cfg)
+            continue
+        case = hashlib.sha256()
+
+        def update(data: bytes) -> None:
+            h.update(data)
+            case.update(data)
+
+        digest_case(update, label, make, cfg)
+        lo, hi = cfg.value_domain  # two fixture cases share a label, not a domain
+        print(f"{label} at {lo}..{hi}: {case.hexdigest()}")
     print(h.hexdigest())
     return 0
 
