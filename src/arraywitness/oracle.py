@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .analysis import ARRAY_INT, _read_var, analyze_program, loop_bound
@@ -77,13 +77,10 @@ class OracleConfig:
     value_domain: tuple[int, int] = (0, 3)
     max_steps: int = 5_000_000  # total across the whole enumeration
     array_size_override: int | None = None
-    nd_domain: tuple[int, int] | None = None  # nd()'s values; None: value_domain
 
     def __post_init__(self) -> None:
         if self.value_domain[0] > self.value_domain[1]:
             raise ValueError("value_domain must be non-empty")
-        if self.nd_domain is not None and self.nd_domain[0] > self.nd_domain[1]:
-            raise ValueError("nd_domain must be non-empty")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -111,7 +108,6 @@ class DifferentialResult:
     orig_verdict: Verdict
     trans_verdict: Verdict
     precise: bool | None  # None: program has no classifiable assertion
-    nd_domain: tuple[int, int] | None = None  # set when trans_verdict needed it
 
     @property
     def sound(self) -> bool:
@@ -314,8 +310,7 @@ class _Machine:
     def _build(self, e) -> Callable[[dict], int]:
         match e:
             case Nd() | Input():
-                cfg, choose, loc = self.cfg, self.odo.choose, e.loc
-                lo, hi = (cfg.nd_domain if isinstance(e, Nd) else None) or cfg.value_domain
+                choose, (lo, hi), loc = self.odo.choose, self.cfg.value_domain, e.loc
                 return lambda state: choose(lo, hi, loc)
             case NdRange(lo, hi):
                 choose, f, g, loc = self.odo.choose, self._compile(lo), self._compile(hi), e.loc
@@ -426,11 +421,10 @@ class _Machine:
                     for t in targets:
                         state[t] = v
             case Assign(ArrayAccess(array, index), value, loc):
-                idx, val, var = fns[id(index)], fns[id(value)], _read_var(index)
-                own = (index, value)
+                idx, val, own = fns[id(index)], fns[id(value)], (index, value)
 
-                def stmt(state, work):  # an index that is a plain variable is read directly
-                    i, arr = state[var] if var else idx(state), state[array]
+                def stmt(state, work):
+                    i, arr = idx(state), state[array]
                     if not 0 <= i < len(arr):
                         raise _out_of_bounds(array, i, len(arr), loc)
                     arr[i] = val(state)
@@ -500,8 +494,8 @@ class _Marker:
 
     def __call__(self, state: dict, work: list) -> None:
         odo, r = self.odo, self.range
-        state[self.iterator] = i = state[self.iterator] + r.step
-        if i < r.stop:
+        state[self.iterator] += r.step
+        if state[self.iterator] < r.stop:
             work.append(self)
             work += self.items
             odo.steps += self.head  # the test and the body block: neither can fail
@@ -716,17 +710,6 @@ def differential_check(
     keeping the pair consistent. Whenever the transformation is derived here,
     one :func:`analyze_program` build about the original serves both it and
     the precision classification.
-
-    The value domain bounds every ``nd()``, but a havoc ``nd()`` of the
-    transformed program stands for any value the original holds there, which
-    may lie outside it. So when the original fails and the transformed program
-    is safe, the transformed program is enumerated once more with ``nd()``
-    drawing from the value domain widened to every value in the original
-    witness's final state (the values its failing assertion reads); if that
-    finds a failure, it is the transformed verdict and ``nd_domain`` says how
-    to replay it. Any failure found so is a failure of the transformed program,
-    whose ``nd()`` may return any integer. Values the run overwrote before it
-    failed are not added, and a widened run over budget keeps the first verdict.
     """
     from .precision import classify_program
     from .transform import transform_with_info
@@ -736,21 +719,12 @@ def differential_check(
     if cfg.array_size_override is not None:
         original = scale_arrays(original, cfg.array_size_override)
         transformed = None
-        cfg = replace(cfg, array_size_override=None)
+        cfg = OracleConfig(cfg.value_domain, cfg.max_steps, None)
     if transformed is None:
         facts = analyze_program(original)
         transformed = transform_with_info(original, facts).program
-    orig, trans = enumerate_runs(original, cfg), enumerate_runs(transformed, cfg)
-    nd_domain = None
-    if not orig.safe and trans.safe:
-        domain = cfg.nd_domain or cfg.value_domain
-        held = [*domain, *orig.witness.final_state.values()]
-        widened = replace(cfg, nd_domain=(min(held), max(held)))
-        if widened.nd_domain != domain:
-            try:
-                verdict = enumerate_runs(transformed, widened)
-            except BudgetExceeded:
-                verdict = trans
-            if not verdict.safe:
-                trans, nd_domain = verdict, widened.nd_domain
-    return DifferentialResult(orig, trans, classify_program(original, facts), nd_domain)
+    return DifferentialResult(
+        orig_verdict=enumerate_runs(original, cfg),
+        trans_verdict=enumerate_runs(transformed, cfg),
+        precise=classify_program(original, facts),
+    )

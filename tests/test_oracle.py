@@ -211,43 +211,6 @@ def test_division_witnesses_of_generated_programs_replay(seed):
     assert replayed
 
 
-def test_nd_domain_bounds_nd_and_leaves_input_on_the_value_domain():
-    p = parse("int x, y;\nmain() { x = nd(); y = input(); assert(x + y < 5); }")
-    bit = OracleConfig(value_domain=(0, 1))
-    assert enumerate_runs(p, bit).safe
-    v = enumerate_runs(p, OracleConfig(value_domain=(0, 1), nd_domain=(0, 4)))
-    assert v.witness.nd_choices == [4, 1]
-    with pytest.raises(ValueError):
-        OracleConfig(nd_domain=(2, 1))
-
-
-def test_havoc_outside_the_value_domain_is_followed_by_a_widened_nd():
-    """Seed 2685 fails only at ``i0 == 2``, the loop's exit value, which the
-    transformed program reaches through its havoc ``i0 = nd();``. At domain
-    0..1 that nd() cannot take 2; the check widens nd() to the original
-    witness's values and reports the transformed failure with its domain."""
-    bit = OracleConfig(value_domain=(0, 1), max_steps=200_000)
-    original = generate_program(2685)
-    diff = differential_check(original, cfg=bit)
-    assert diff.orig_verdict.witness.final_state["i0"] == 2
-    assert not diff.trans_verdict.safe and diff.sound
-    assert diff.nd_domain == (0, 2)
-    assert diff.trans_verdict.witness.final_state["i0"] == 2
-    transformed, choices = transform_program(original), diff.trans_verdict.witness.nd_choices
-    assert enumerate_runs(transformed, bit).safe
-    wide = OracleConfig(value_domain=(0, 1), max_steps=200_000, nd_domain=diff.nd_domain)
-    assert replay_trace(transformed, choices, wide).witness == diff.trans_verdict.witness
-    with pytest.raises(OracleError, match="outside"):
-        replay_trace(transformed, choices, bit)
-    # A pair whose verdicts agree is not re-run.
-    assert differential_check(generate_program(278), cfg=bit).nd_domain is None
-    # A transformed program that no nd() value makes fail stays unsound.
-    original = parse("int x;\nmain() { x = 2; assert(x < 2); }")
-    hides = parse("int x;\nmain() { x = nd(0, 1); assert(x < 2); }")
-    diff = differential_check(original, hides, bit)
-    assert not diff.sound and diff.nd_domain is None
-
-
 def test_array_access_callbacks_in_evaluation_order():
     p = parse(
         "int x;\nint a[4], b[4], c[4];\n"
