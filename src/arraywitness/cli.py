@@ -112,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_domain,
         default=(0, 3),
         metavar="LO:HI",
-        help="oracle domain for nd() and input() (default 0:3)",
+        help="oracle domain for nd() and input() (default 0:3); write a negative "
+        "LO with '=', as in --value-domain=-3:-1",
     )
     t.add_argument(
         "--bmc",

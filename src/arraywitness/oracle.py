@@ -6,18 +6,18 @@ first failure found is the lexicographically smallest witness. Serves as the
 ground truth for the differential soundness and precision checks.
 
 Statements run from an explicit work stack. Every statement is bound once per
-machine, when it is built, to one work item: a closure over its expressions'
-closures that runs it on a state and the work stack beneath it. Every
-expression compiles to one closure, which alone implements its operators
-outside generated loop code. A statement whose own expressions make a choice is
-a fork: its closure runs as an odometer, once per combination of the choices it
-reaches, on a copy of the state and work before it. Forks wait on a stack of
-their own, so a run may make any number of choices. Loops run from their
-constant ranges (any other loop is refused at set-up). One without a choice,
-break or continue that never writes its iterator is Python code generated once
-per shape; it runs on locals and drops the bounds check of an index that is its
-iterator when its range lies inside the array. Other loops take one work item
-per iteration.
+machine, when it is built, in one pass over the program, to one work item that
+runs it on a state and the work stack beneath it. Binding a statement compiles
+the expressions it runs, each to one closure, which alone implements its
+operators outside generated loop code. A statement whose own expressions make a
+choice is a fork: its closure runs as an odometer, once per combination of the
+choices it reaches, on a copy of the state and work before it. Forks wait on a
+stack of their own, so a run may make any number of choices. Loops run from
+their constant ranges (any other loop is refused at set-up). One without a
+choice, break or continue that never writes its iterator is Python code
+generated once per shape, and compiles no closures; it runs on locals and drops
+the bounds check of an index that is its iterator when its range lies inside
+the array. Other loops take one work item per iteration.
 """
 
 from __future__ import annotations
@@ -141,9 +141,7 @@ _COMPARE: dict[str, Callable[[int, int], bool]] = {
     ">=": operator.ge,
 }
 _DIVIDE: dict[str, Callable[[int, int], int]] = {"/": _c_div, "%": _c_mod}
-
-_CHOICE_TYPES = (Nd, NdRange, Input)
-_EXPR_TYPES = (Const, Read, BinOp, Ternary, *_CHOICE_TYPES)
+_LOGIC = {"&&": "and", "||": "or"}  # as generated loop code spells them
 
 
 def _divide(op: str, a: int, b: int, loc: int) -> int:
@@ -274,64 +272,39 @@ class _Machine:
         self.on_complete = on_complete
         self.on_array_access = on_array_access
         self.odo = _Odometer(cfg.max_steps, script)
-        # A closure for every expression node; a choice in one calls choose.
-        # _det holds it only for a node that makes no choice, as _choices (the
-        # choices compiled so far) tells, and None otherwise. Keyed by node
-        # identity, so the machine holds on to the program whose nodes they name.
-        self._program = p
         self._sizes = {d.name: d.size for d in p.decls}
-        self._closures: dict[int, Callable[[dict], int]] = {}
-        self._det: dict[int, Callable[[dict], int] | None] = {}
-        self._choices = 0
-        # Each loop's range and the steps of a true test: the test's and the body block's.
-        self._loops: dict[int, tuple[range, int]] = {}
-        for node in walk(p.body):
-            if isinstance(node, _EXPR_TYPES):
-                self._compile(node)
-            elif isinstance(node, For):
-                if (r := loop_bound(node)) is None:
-                    raise NonConstantBound(f"loop at location {node.loc} has a non-constant bound")
-                self._loops[id(node)] = (r, 1 + isinstance(node.body, Block))
+        # One pass binds every statement and compiles the expressions it runs, so a
+        # non-constant loop anywhere is refused before any run.
         self._root = self._bind(p.body)
 
-    def _compile(self, e) -> Callable[[dict], int]:
-        """Return ``e``'s evaluation closure, compiling (and caching) its
-        subexpressions first; ``_det`` gets it too unless ``e`` counted a choice."""
-        key = id(e)
-        if key not in self._closures:
-            choices = self._choices
-            self._closures[key] = fn = self._build(e)
-            self._choices += isinstance(e, _CHOICE_TYPES)
-            self._det[key] = fn if self._choices == choices else None
-        else:  # a choiceful node met again counts for its new parent too
-            self._choices += self._det[key] is None
-        return self._closures[key]
-
-    def _build(self, e) -> Callable[[dict], int]:
+    def _compile(self, e) -> tuple[Callable[[dict], int], bool]:
+        """``e``'s evaluation closure, and whether it makes a choice. Each use of a
+        node compiles it anew, so two statements that share one draw their own."""
         match e:
             case Nd() | Input():
                 choose, (lo, hi), loc = self.odo.choose, self.cfg.value_domain, e.loc
-                return lambda state: choose(lo, hi, loc)
+                return (lambda state: choose(lo, hi, loc)), True
             case NdRange(lo, hi):
-                choose, f, g, loc = self.odo.choose, self._compile(lo), self._compile(hi), e.loc
-                return lambda state: choose(f(state), g(state), loc)
+                (f, _), (g, _) = self._compile(lo), self._compile(hi)
+                choose, loc = self.odo.choose, e.loc
+                return (lambda state: choose(f(state), g(state), loc)), True
             case Const(value):
-                return lambda state: value
+                return (lambda state: value), False
             case Read(Var(name)):
-                return lambda state: state[name]
+                return (lambda state: state[name]), False
             case Read(ArrayAccess(array, index)):
-                self._compile(index)
                 return self._read_closure(array, index, e.loc)
             case BinOp(op, lhs, rhs):
-                return _binop_closure(op, self._compile(lhs), self._compile(rhs), e.loc)
+                (f, a), (g, b) = self._compile(lhs), self._compile(rhs)
+                return _binop_closure(op, f, g, e.loc), a or b
             case Ternary(cond, then, orelse):
-                c, t, o = (self._compile(x) for x in (cond, then, orelse))
-                return lambda state: t(state) if c(state) != 0 else o(state)
+                (c, a), (t, b), (o, d) = (self._compile(x) for x in (cond, then, orelse))
+                return (lambda state: t(state) if c(state) != 0 else o(state)), a or b or d
         raise OracleError(f"cannot evaluate {type(e).__name__}")
 
-    def _read_closure(self, array: str, index, loc: int) -> Callable[[dict], int]:
+    def _read_closure(self, array: str, index, loc: int) -> tuple[Callable[[dict], int], bool]:
         # An index that is a plain variable is read directly.
-        var, idx, notify = _read_var(index), self._closures[id(index)], self.on_array_access
+        var, (idx, choice), notify = _read_var(index), self._compile(index), self.on_array_access
         size = self._sizes[array]
 
         def read(state):
@@ -343,7 +316,7 @@ class _Machine:
                 notify(array, i)
             return arr[i]
 
-        return read
+        return read, choice
 
     # -- statement execution ----------------------------------------------
 
@@ -406,22 +379,23 @@ class _Machine:
         """``s`` as its work item, which runs it on a state and the work stack
         beneath it. If ``s``'s own expressions make a choice, the item is a fork:
         it returns the closure that ``run`` re-runs once per combination of them."""
-        fns, notify, own = self._closures, self.on_array_access, ()
+        build, notify, choice = self._compile, self.on_array_access, False
         match s:
             case Assign(Var(name), value):
-                val, own = fns[id(value)], (value,)
+                val, choice = build(value)
 
                 def stmt(state, work):
                     state[name] = val(state)
             case ChainAssign(targets, value):
-                val, own = fns[id(value)], (value,)
+                val, choice = build(value)
 
                 def stmt(state, work):
                     v = val(state)
                     for t in targets:
                         state[t] = v
             case Assign(ArrayAccess(array, index), value, loc):
-                idx, val, own = fns[id(index)], fns[id(value)], (index, value)
+                (idx, a), (val, b) = build(index), build(value)
+                choice = a or b
 
                 def stmt(state, work):
                     i, arr = idx(state), state[array]
@@ -431,8 +405,8 @@ class _Machine:
                     if notify is not None:
                         notify(array, i)
             case TernaryAssign(cond, Var(name), value, discard):
-                own = (cond, value, discard)
-                test, val, other = (fns[id(e)] for e in own)
+                (test, a), (val, b), (other, c) = (build(e) for e in (cond, value, discard))
+                choice = a or b or c
 
                 def stmt(state, work):  # the discarded side runs for its choices and faults only
                     if test(state) != 0:
@@ -440,29 +414,29 @@ class _Machine:
                     else:
                         other(state)
             case Assert(cond, loc):
-                test, own = fns[id(cond)], (cond,)
+                test, choice = build(cond)
 
                 def stmt(state, work):
                     if test(state) == 0:
                         raise _Fault(loc)
             case If(cond, then, orelse):
-                test, own = fns[id(cond)], (cond,)
+                test, choice = build(cond)
                 then, orelse = self._bind(then), None if orelse is None else self._bind(orelse)
 
                 def stmt(state, work):
                     if (taken := then if test(state) != 0 else orelse) is not None:
                         work.append(taken)
             case Block(stmts):
-                items = [self._bind(x) for x in reversed(stmts)]
+                items = [self._bind(x) for x in stmts][::-1]
 
                 def stmt(state, work):
                     work += items
             case For(iterator=it, body=body):  # generated code, or an entry item and a marker
-                if run := _LoopSource(self).bind(s):
+                r, head = _loop_range(s)
+                if run := _LoopSource(self).bind(s, r, head):
                     return run
-                r, head = self._loops[id(s)]
                 body = body.stmts if isinstance(body, Block) else [body]
-                marker = _Marker(self.odo, it, r, head, [self._bind(x) for x in reversed(body)])
+                marker = _Marker(self.odo, it, r, head, [self._bind(x) for x in body][::-1])
 
                 def stmt(state, work):  # its step stands for the increment to the range's start
                     state[it] = r.start - r.step
@@ -477,7 +451,7 @@ class _Machine:
                         work.pop()
             case _:
                 raise OracleError(f"cannot execute {type(s).__name__}")
-        if any(self._det[id(e)] is None for e in own):
+        if choice:
             return lambda state, work: stmt
         return stmt
 
@@ -515,24 +489,27 @@ class _LoopSource:
     expression is inlined with at most one level of parentheses per node (it refuses over 200)."""
 
     def __init__(self, machine: _Machine, fixed: frozenset = frozenset()):
-        self.machine, self.det, self.notify = machine, machine._det, machine.on_array_access
+        self.machine, self.notify = machine, machine.on_array_access
         self.fixed = fixed  # the iterators of this loop and the generated loops around it
         self.args: list = []
         self.keys: dict = {}  # a name, or (array,) for its size -> its argument
         self.arrays: dict[str, str] = {}  # local holding an array's list -> its name's argument
         self.lines: list[str] = []  # the loop function's body
 
-    def bind(self, loop: For) -> Callable[[dict], None] | None:
-        """The loop, run in place on a state; None if it stays on the work stack."""
-        r, head = self.machine._loops[id(loop)]
+    def bind(self, loop: For, r: range, head: int) -> Callable[[dict], None] | None:
+        """The loop over ``r``, whose true test counts ``head`` steps, run in place on a
+        state; None if it stays on the work stack."""
         stmts = loop.body.stmts if isinstance(loop.body, Block) else [loop.body]
         self.iterator, self.range, self.fixed = loop.iterator, r, self.fixed | {loop.iterator}
         it = self.it = self.arg(loop.iterator, loop.iterator)
         # s starts one short: an iteration's first statement also counts the increment before
         # it, the test and the body block; the exit counts the last increment and test.
         self.lines.append(f"            for i in {self.arg(r)}:")
-        if not stmts or not all(self.ticked(x, " " * 16, str(head + 2) if n == 0 else "1")
-                                for n, x in enumerate(stmts)):
+        try:
+            if not stmts or not all(self.ticked(x, " " * 16, str(head + 2) if n == 0 else "1")
+                                    for n, x in enumerate(stmts)):
+                return None
+        except _NotInline:
             return None
         end = self.arg(r.start + len(r) * r.step)  # the iterator's value after the loop
         self.lines += [f"            i = {end}", "            s += 2",
@@ -563,25 +540,26 @@ class _LoopSource:
 
     def ticked(self, s, pad: str, ticks: str = "1") -> bool:
         """Count ``s``'s step, check the budget, append ``s``; False if it needs the work stack."""
-        det, out, inner = self.det, self.lines, pad + "    "
+        out, inner = self.lines, pad + "    "
         out += [f"{pad}s += {ticks}", f"{pad}if s > limit: raise _over_budget(limit)"]
         match s:
             case Block(stmts):
                 return all(self.ticked(x, pad) for x in stmts)
             case For():  # the nested loop reads the iterator and the steps from the state
-                run = s.iterator not in self.fixed and _LoopSource(self.machine, self.fixed).bind(s)
+                fresh = s.iterator not in self.fixed
+                run = fresh and _LoopSource(self.machine, self.fixed).bind(s, *_loop_range(s))
                 out += [f"{pad}state[{self.it}] = i", f"{pad}m.steps = s",
                         f"{pad}try: {self.arg(run)}(state, work)", f"{pad}finally: s = m.steps"]
                 return bool(run)
-            case If(cond, then, orelse) if det[id(cond)] is not None:
+            case If(cond, then, orelse):
                 out.append(f"{pad}if {self.expr(cond, True)}:")
                 ok = self.ticked(then, inner)
                 out.append(f"{pad}else:" if orelse is not None else f"{pad}else: pass")
                 return ok and (orelse is None or self.ticked(orelse, inner))
-            case Assign(Var(name), value) if det[id(value)] is not None and name not in self.fixed:
+            case Assign(Var(name), value) if name not in self.fixed:
                 out.append(f"{pad}state[{self.arg(name, name)}] = {self.expr(value)}")
                 return True
-            case Assign(ArrayAccess(array, index), value) if det[id(index)] and det[id(value)]:
+            case Assign(ArrayAccess(array, index), value):
                 a, n, size = self.array(array)
                 k = "i" if self.proven(index, array) else "k"
                 if k == "k":
@@ -590,14 +568,15 @@ class _LoopSource:
                 out.append(f"{pad}{a}[{k}] = {self.expr(value)}")
                 out += [f"{pad}notify({n}, {k})"] if self.notify else []
                 return True
-            case Assert(cond) if det[id(cond)] is not None:
+            case Assert(cond):
                 test = self.expr(cond, True)
                 out.append(f"{pad}if not ({test}): raise _Fault({self.arg(s.loc)})")
                 return True
         return False
 
     def expr(self, e, test: bool = False, wrap: bool = False) -> str:
-        """``e`` as Python text, an int except in a ``test``, parenthesised for ``wrap``."""
+        """``e`` as Python text, an int except in a ``test``, parenthesised for ``wrap``;
+        raise _NotInline at a choice, or at anything else the closures alone handle."""
         match e:
             case Const(value):
                 return self.arg(value)
@@ -612,14 +591,16 @@ class _LoopSource:
                 if t == "t":
                     text = (f"{text} if 0 <= (t := {self.expr(index)}) < {size} "
                             f"else _oob({n}, t, {size}, {self.arg(e.loc)})")
-            case BinOp(op, lhs, rhs):
-                logic = {"&&": "and", "||": "or"}.get(op)
+            case BinOp(op, lhs, rhs) if op in _ARITH or op in _COMPARE or op in _LOGIC:
+                logic = _LOGIC.get(op)
                 lhs, rhs = self.expr(lhs, bool(logic), True), self.expr(rhs, bool(logic), True)
                 text = f"{lhs} {logic or op} {rhs}"
                 text = text if test or op in _ARITH else f"1 if {text} else 0"
             case Ternary(cond, then, orelse):
                 then, orelse = self.expr(then, wrap=True), self.expr(orelse, wrap=True)
                 text = f"{then} if {self.expr(cond, True, True)} else {orelse}"
+            case _:
+                raise _NotInline
         return f"({text})" if wrap else text
 
 
@@ -630,6 +611,13 @@ def _loop_template(source: str) -> Callable:
     return scope["bind"]
 
 
+def _loop_range(loop: For) -> tuple[range, int]:
+    """The loop's range and the steps of a true test: the test's and the body block's."""
+    if (r := loop_bound(loop)) is None:
+        raise NonConstantBound(f"loop at location {loop.loc} has a non-constant bound")
+    return r, 1 + isinstance(loop.body, Block)
+
+
 def _oob(array: str, i: int, size: int, loc: int):
     raise _out_of_bounds(array, i, size, loc)
 
@@ -637,6 +625,10 @@ def _oob(array: str, i: int, size: int, loc: int):
 def _too_wide(loc: int, max_steps: int) -> BudgetExceeded:
     # A choice with nothing after it costs no step: refuse one wider than the budget.
     return BudgetExceeded(f"choice at location {loc} has more than {max_steps} values")
+
+
+class _NotInline(Exception):
+    """An expression that generated loop code cannot inline; its loop stays on the work stack."""
 
 
 class _Empty(Exception):

@@ -194,6 +194,20 @@ def test_bad_value_domain_is_a_usage_error(capsys, domain, reason):
     assert err.endswith(f"error: argument --value-domain: {reason}\n")
 
 
+def test_negative_value_domain_in_the_equals_form(tmp_path, capsys):
+    # argparse takes a separate "-3:-1" for an option, so a negative LO is
+    # written as --value-domain=-3:-1; every input() is then negative.
+    src = tmp_path / "negative.c"
+    src.write_text("int x, i;\nint a[2];\nmain() { x = input();"
+                   " for (i = 0; i < 2; i++) { a[i] = x; } assert(a[1] >= 0); }\n")
+    status = run(["transform", str(src), "--oracle", "--array-size", "2",
+                  "--value-domain=-3:-1"])
+    out, err = capsys.readouterr()
+    assert (status, err) == (0, "")
+    for line in ("original:    unsafe", "transformed: unsafe", "sound: yes"):
+        assert line in out.splitlines()
+
+
 def test_oracle_choice_wider_than_the_budget_is_an_error(capsys):
     status = run(["transform", FIG1, "--oracle", "--array-size", "2",
                   "--value-domain", "0:99999999999999"])

@@ -125,12 +125,17 @@ def test_non_constant_bound_rejected():
 
 
 def test_non_constant_bound_is_rejected_before_any_run():
-    # No run reaches the loop, and no run completes: the check is at set-up.
-    p = parse("int i, n;\nmain() { n = 1; if (n == 0) { for (i = 0; i < n; i++) { n = n; } } }")
-    states = []
-    with pytest.raises(NonConstantBound, match="non-constant bound"):
-        enumerate_runs(p, SMALL, on_complete=states.append)
-    assert states == []
+    # No run reaches the loop, and no run completes: the check is at set-up,
+    # also for a loop nested in a generated loop, or in a loop with a choice.
+    bad = "if (n == 0) { for (i = 0; i < n; i++) { n = n; } }"
+    for body in (f"n = 1; {bad}",
+                 f"n = 1; for (j = 0; j < 2; j++) {{ {bad} }}",
+                 f"for (j = 0; j < 2; j++) {{ n = input() + 1; {bad} }}"):
+        p = parse(f"int i, j, n;\nmain() {{ {body} }}")
+        states = []
+        with pytest.raises(NonConstantBound, match="non-constant bound"):
+            enumerate_runs(p, SMALL, on_complete=states.append)
+        assert states == [], body
 
 
 def test_out_of_bounds_is_an_error():
@@ -682,10 +687,12 @@ def test_a_choice_shared_by_two_statements_is_drawn_in_each():
 
 
 def test_unknown_operator_is_refused():
-    p = parse("int x;\nmain() { x = 1 + nd(); }")
-    next(n for n in walk(p) if isinstance(n, BinOp)).op = "<<"
-    with pytest.raises(OracleError, match="unknown operator '<<'"):
-        enumerate_runs(p, BIT)
+    # Also in a choice-free loop, whose generated code must not inline it.
+    for body in ("x = 1 - nd();", "for (i = 0; i < 2; i++) { x = 1 - i; }"):
+        p = parse(f"int i, x;\nmain() {{ {body} }}")
+        next(n for n in walk(p) if isinstance(n, BinOp) and n.op == "-").op = "<<"
+        with pytest.raises(OracleError, match="unknown operator '<<'"):
+            enumerate_runs(p, BIT)
 
 
 # A loop that makes a choice runs on the work stack: one marker per iteration
@@ -714,6 +721,29 @@ LOOP_CASES = {
         "for (i = 0; i < 5; i++) { k = input(); i = i + k; } assert(i < %s);",
         ("7", 112, 13), ("6", [0, 0, 0, 0, 1], 33),
     ),
+    # A choice anywhere under a loop keeps that loop on the work stack.
+    "choice-in-a-nested-if": (
+        "int i, k;\n",
+        "k = 0; for (i = 0; i < 3; i++) { if (i > 0) { if (input() == 1) { k = k + i; } } }"
+        " assert(k < %s);",
+        ("4", 42, 4), ("3", [1, 1], 42),
+    ),
+    "choice-in-a-nested-loop": (
+        "int i, j, k;\n",
+        "k = 0; for (i = 0; i < 2; i++) { for (j = 0; j < 2; j++) { k = k + input(); } }"
+        " assert(k < %s);",
+        ("5", 165, 16), ("4", [1, 1, 1, 1], 165),
+    ),
+    "choice-in-an-array-index": (
+        "int i, k;\nint a[2];\n",
+        "for (i = 0; i < 2; i++) { a[input()] = i + 1; } k = a[0] * a[1]; assert(k < %s);",
+        ("3", 29, 4), ("2", [0, 1], 17),
+    ),
+    "choice-in-a-read-operand": (
+        "int i, k;\nint a[3];\n",
+        "a[2] = 4; k = 0; for (i = 0; i < 2; i++) { k = k + a[i + input()]; } assert(k < %s);",
+        ("5", 27, 4), ("4", [0, 1], 17),
+    ),
 }
 
 
@@ -722,7 +752,9 @@ def test_choiceful_loop_protocol(case):
     decls, body, (holds, steps, runs), twin = LOOP_CASES[case]
     p = parse(f"{decls}main() {{ {body % holds} }}")
     states = []
+    _loop_template.cache_clear()
     v = enumerate_runs(p, BIT, on_complete=states.append)
+    assert _loop_template.cache_info().misses == 0  # no loop ran as generated code
     assert (v.safe, v.steps, len(states)) == (True, steps, runs)
     assert enumerate_runs(p, OracleConfig(value_domain=(0, 1), max_steps=steps)).safe
     with pytest.raises(BudgetExceeded):
