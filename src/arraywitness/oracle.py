@@ -499,16 +499,16 @@ class _LoopSource:
     def bind(self, loop: For, r: range, head: int) -> Callable[[dict], None] | None:
         """The loop over ``r``, whose true test counts ``head`` steps, run in place on a
         state; None if it stays on the work stack."""
-        stmts = loop.body.stmts if isinstance(loop.body, Block) else [loop.body]
+        if not (stmts := loop.body.stmts if isinstance(loop.body, Block) else [loop.body]):
+            return None
         self.iterator, self.range, self.fixed = loop.iterator, r, self.fixed | {loop.iterator}
         it = self.it = self.arg(loop.iterator, loop.iterator)
         # s starts one short: an iteration's first statement also counts the increment before
         # it, the test and the body block; the exit counts the last increment and test.
         self.lines.append(f"            for i in {self.arg(r)}:")
         try:
-            if not stmts or not all(self.ticked(x, " " * 16, str(head + 2) if n == 0 else "1")
-                                    for n, x in enumerate(stmts)):
-                return None
+            for n, x in enumerate(stmts):
+                self.ticked(x, " " * 16, str(head + 2) if n == 0 else "1")
         except _NotInline:
             return None
         end = self.arg(r.start + len(r) * r.step)  # the iterator's value after the loop
@@ -538,27 +538,27 @@ class _LoopSource:
         r, size = self.range, self.machine._sizes[array]
         return _read_var(index) == self.iterator and (not r or 0 <= r.start and r[-1] < size)
 
-    def ticked(self, s, pad: str, ticks: str = "1") -> bool:
-        """Count ``s``'s step, check the budget, append ``s``; False if it needs the work stack."""
+    def ticked(self, s, pad: str, ticks: str = "1") -> None:
+        """Count ``s``'s step, check the budget and append ``s``, or raise _NotInline."""
         out, inner = self.lines, pad + "    "
         out += [f"{pad}s += {ticks}", f"{pad}if s > limit: raise _over_budget(limit)"]
         match s:
             case Block(stmts):
-                return all(self.ticked(x, pad) for x in stmts)
-            case For():  # the nested loop reads the iterator and the steps from the state
-                fresh = s.iterator not in self.fixed
-                run = fresh and _LoopSource(self.machine, self.fixed).bind(s, *_loop_range(s))
+                for x in stmts:
+                    self.ticked(x, pad)
+            case For() if s.iterator not in self.fixed:  # the inner loop reads i, s from the state
+                if not (run := _LoopSource(self.machine, self.fixed).bind(s, *_loop_range(s))):
+                    raise _NotInline
                 out += [f"{pad}state[{self.it}] = i", f"{pad}m.steps = s",
                         f"{pad}try: {self.arg(run)}(state, work)", f"{pad}finally: s = m.steps"]
-                return bool(run)
             case If(cond, then, orelse):
                 out.append(f"{pad}if {self.expr(cond, True)}:")
-                ok = self.ticked(then, inner)
+                self.ticked(then, inner)
                 out.append(f"{pad}else:" if orelse is not None else f"{pad}else: pass")
-                return ok and (orelse is None or self.ticked(orelse, inner))
+                if orelse is not None:
+                    self.ticked(orelse, inner)
             case Assign(Var(name), value) if name not in self.fixed:
                 out.append(f"{pad}state[{self.arg(name, name)}] = {self.expr(value)}")
-                return True
             case Assign(ArrayAccess(array, index), value):
                 a, n, size = self.array(array)
                 k = "i" if self.proven(index, array) else "k"
@@ -567,16 +567,15 @@ class _LoopSource:
                             f"{pad}if not 0 <= k < {size}: _oob({n}, k, {size}, {self.arg(s.loc)})"]
                 out.append(f"{pad}{a}[{k}] = {self.expr(value)}")
                 out += [f"{pad}notify({n}, {k})"] if self.notify else []
-                return True
             case Assert(cond):
                 test = self.expr(cond, True)
                 out.append(f"{pad}if not ({test}): raise _Fault({self.arg(s.loc)})")
-                return True
-        return False
+            case _:
+                raise _NotInline
 
     def expr(self, e, test: bool = False, wrap: bool = False) -> str:
         """``e`` as Python text, an int except in a ``test``, parenthesised for ``wrap``;
-        raise _NotInline at a choice, or at anything else the closures alone handle."""
+        raise _NotInline at a choice, or at anything else only the closures handle."""
         match e:
             case Const(value):
                 return self.arg(value)
@@ -628,7 +627,7 @@ def _too_wide(loc: int, max_steps: int) -> BudgetExceeded:
 
 
 class _NotInline(Exception):
-    """An expression that generated loop code cannot inline; its loop stays on the work stack."""
+    """What generated loop code cannot inline; its loop stays on the work stack."""
 
 
 class _Empty(Exception):
