@@ -129,10 +129,10 @@ class ProgramFacts:
 
     - ``arrays``: the witness pair of each declared array, in declaration order;
     - ``summaries``: loop location id -> the loop's :class:`LoopSummary`;
-    - ``loops``, ``guards``, ``order``: keyed by ``id`` of each ``Assign``,
-      ``Assert`` and ``For`` node, and of no other: its enclosing loops (a loop
+    - ``loops``, ``guards``: keyed by ``id`` of each ``Assign``, ``Assert`` and
+      ``For`` node, and of no other, in pre-order: its enclosing loops (a loop
       is not among its own) and the conditions of its enclosing ifs, both
-      outermost first, and its rank among those statements in pre-order;
+      outermost first;
     - ``defs``, ``writes``: scalar name -> its assignments, array name -> its
       element writes, in program order;
     - ``iterators``: the iterator names of all loops;
@@ -143,7 +143,6 @@ class ProgramFacts:
     summaries: dict[int, LoopSummary] = field(default_factory=dict)
     loops: dict[int, tuple[For, ...]] = field(default_factory=dict)
     guards: dict[int, tuple] = field(default_factory=dict)
-    order: dict[int, int] = field(default_factory=dict)
     defs: dict[str, list[Assign]] = field(default_factory=dict)
     writes: dict[str, list[Assign]] = field(default_factory=dict)
     iterators: set[str] = field(default_factory=set)
@@ -177,7 +176,7 @@ def _scan(root, facts: ProgramFacts) -> list[_Body]:
     stack = [root]
     count = 0  # array accesses scanned so far
     expand_of = _CHILDREN.get
-    in_loops, in_guards, order = facts.loops, facts.guards, facts.order
+    in_loops, in_guards = facts.loops, facts.guards
     while stack:
         node = stack.pop()
         t = type(node)
@@ -200,7 +199,7 @@ def _scan(root, facts: ProgramFacts) -> list[_Body]:
             continue
         if t is Assign or t is Assert or t is For:
             key = id(node)
-            in_loops[key], in_guards[key], order[key] = rec.open, guards, len(order)
+            in_loops[key], in_guards[key] = rec.open, guards
         if t is For:
             facts.iterators.add(node.iterator)
             loops.append(_Body(node, rec, count, rec.open + (node,)))

@@ -13,11 +13,11 @@ operators outside generated loop code. A statement whose own expressions make a
 choice is a fork: its closure runs as an odometer, once per combination of the
 choices it reaches, on a copy of the state and work before it. Forks wait on a
 stack of their own, so a run may make any number of choices. Loops run from
-their constant ranges (any other loop is refused at set-up). One without a
-choice, break or continue that never writes its iterator is Python code
-generated once per shape, and compiles no closures; it runs on locals and drops
-the bounds check of an index that is its iterator when its range lies inside
-the array. Other loops take one work item per iteration.
+their constant ranges (any other loop is refused at set-up). An innermost loop
+without a choice, break or continue that never writes its iterator is Python
+code generated once per shape, and compiles no closures; it runs on locals and
+drops the bounds check of an index that is its iterator when its range lies
+inside the array. Other loops take one work item per iteration.
 """
 
 from __future__ import annotations
@@ -303,12 +303,10 @@ class _Machine:
         raise OracleError(f"cannot evaluate {type(e).__name__}")
 
     def _read_closure(self, array: str, index, loc: int) -> tuple[Callable[[dict], int], bool]:
-        # An index that is a plain variable is read directly.
-        var, (idx, choice), notify = _read_var(index), self._compile(index), self.on_array_access
-        size = self._sizes[array]
+        (idx, choice), notify, size = self._compile(index), self.on_array_access, self._sizes[array]
 
         def read(state):
-            i = state[var] if var else idx(state)
+            i = idx(state)
             arr = state[array]
             if not 0 <= i < size:
                 raise _out_of_bounds(array, i, size, loc)
@@ -432,7 +430,9 @@ class _Machine:
                 def stmt(state, work):
                     work += items
             case For(iterator=it, body=body):  # generated code, or an entry item and a marker
-                r, head = _loop_range(s)
+                if (r := loop_bound(s)) is None:
+                    raise NonConstantBound(f"loop at location {s.loc} has a non-constant bound")
+                head = 1 + isinstance(body, Block)  # a true test's steps, with the block's
                 if run := _LoopSource(self).bind(s, r, head):
                     return run
                 body = body.stmts if isinstance(body, Block) else [body]
@@ -480,17 +480,15 @@ class _Marker:
 
 
 class _LoopSource:
-    """Python source for one choice-free loop whose body, nested loops included, never writes its
-    iterator. It runs as ``for i in <range>`` on locals (the iterator, the step count ``s`` and each
-    array's list) and writes ``s`` and ``i`` back in one ``finally``; an access indexed by the bare
-    iterator has no bounds check when the range lies inside the array. Each name and number of the
-    program enters as an argument ``v<k>``, never as text, so loops of one shape share a code
-    object. A nested loop is its own function (CPython refuses over 20 nested loops in one), and an
-    expression is inlined with at most one level of parentheses per node (it refuses over 200)."""
+    """Python source for one choice-free loop that holds no loop and never writes its iterator. It
+    runs as ``for i in <range>`` on locals (the iterator, the step count ``s`` and each array's
+    list) and writes ``s`` and ``i`` back in one ``finally``; an access indexed by the bare iterator
+    has no bounds check when the range lies inside the array. Each name and number of the program
+    enters as an argument ``v<k>``, never as text, so loops of one shape share a code object. An
+    expression is inlined with at most one level of parentheses per node (CPython refuses 200)."""
 
-    def __init__(self, machine: _Machine, fixed: frozenset = frozenset()):
+    def __init__(self, machine: _Machine):
         self.machine, self.notify = machine, machine.on_array_access
-        self.fixed = fixed  # the iterators of this loop and the generated loops around it
         self.args: list = []
         self.keys: dict = {}  # a name, or (array,) for its size -> its argument
         self.arrays: dict[str, str] = {}  # local holding an array's list -> its name's argument
@@ -501,8 +499,8 @@ class _LoopSource:
         state; None if it stays on the work stack."""
         if not (stmts := loop.body.stmts if isinstance(loop.body, Block) else [loop.body]):
             return None
-        self.iterator, self.range, self.fixed = loop.iterator, r, self.fixed | {loop.iterator}
-        it = self.it = self.arg(loop.iterator, loop.iterator)
+        self.iterator, self.range = loop.iterator, r
+        it = self.arg(loop.iterator, loop.iterator)
         # s starts one short: an iteration's first statement also counts the increment before
         # it, the test and the body block; the exit counts the last increment and test.
         self.lines.append(f"            for i in {self.arg(r)}:")
@@ -546,18 +544,13 @@ class _LoopSource:
             case Block(stmts):
                 for x in stmts:
                     self.ticked(x, pad)
-            case For() if s.iterator not in self.fixed:  # the inner loop reads i, s from the state
-                if not (run := _LoopSource(self.machine, self.fixed).bind(s, *_loop_range(s))):
-                    raise _NotInline
-                out += [f"{pad}state[{self.it}] = i", f"{pad}m.steps = s",
-                        f"{pad}try: {self.arg(run)}(state, work)", f"{pad}finally: s = m.steps"]
             case If(cond, then, orelse):
                 out.append(f"{pad}if {self.expr(cond, True)}:")
                 self.ticked(then, inner)
                 out.append(f"{pad}else:" if orelse is not None else f"{pad}else: pass")
                 if orelse is not None:
                     self.ticked(orelse, inner)
-            case Assign(Var(name), value) if name not in self.fixed:
+            case Assign(Var(name), value) if name != self.iterator:
                 out.append(f"{pad}state[{self.arg(name, name)}] = {self.expr(value)}")
             case Assign(ArrayAccess(array, index), value):
                 a, n, size = self.array(array)
@@ -595,9 +588,6 @@ class _LoopSource:
                 lhs, rhs = self.expr(lhs, bool(logic), True), self.expr(rhs, bool(logic), True)
                 text = f"{lhs} {logic or op} {rhs}"
                 text = text if test or op in _ARITH else f"1 if {text} else 0"
-            case Ternary(cond, then, orelse):
-                then, orelse = self.expr(then, wrap=True), self.expr(orelse, wrap=True)
-                text = f"{then} if {self.expr(cond, True, True)} else {orelse}"
             case _:
                 raise _NotInline
         return f"({text})" if wrap else text
@@ -608,13 +598,6 @@ def _loop_template(source: str) -> Callable:
     """Compile a loop's source once per shape; the result binds its arguments."""
     exec(compile(source, "<loop>", "exec"), globals(), scope := {})
     return scope["bind"]
-
-
-def _loop_range(loop: For) -> tuple[range, int]:
-    """The loop's range and the steps of a true test: the test's and the body block's."""
-    if (r := loop_bound(loop)) is None:
-        raise NonConstantBound(f"loop at location {loop.loc} has a non-constant bound")
-    return r, 1 + isinstance(loop.body, Block)
 
 
 def _oob(array: str, i: int, size: int, loc: int):
@@ -698,7 +681,8 @@ def differential_check(
 
     When ``cfg.array_size_override`` is set, the override is applied to the
     original first and the transformation re-derived from the scaled program,
-    keeping the pair consistent. Whenever the transformation is derived here,
+    keeping the pair consistent; a ``transformed`` given with it raises
+    ``ValueError``. Whenever the transformation is derived here,
     one :func:`analyze_program` build about the original serves both it and
     the precision classification.
     """
@@ -708,8 +692,9 @@ def differential_check(
     cfg = cfg or OracleConfig()
     facts = None
     if cfg.array_size_override is not None:
+        if transformed is not None:
+            raise ValueError("a size override re-derives the transformation; pass no transformed")
         original = scale_arrays(original, cfg.array_size_override)
-        transformed = None
         cfg = OracleConfig(cfg.value_domain, cfg.max_steps, None)
     if transformed is None:
         facts = analyze_program(original)

@@ -193,7 +193,8 @@ class _Parser:
         return Program(decls, body)
 
     def declaration(self) -> list[Decl]:
-        self.accept("unsigned")
+        if self.at("unsigned"):  # the oracle and the emitted C model only signed int
+            self.error("unsigned types are not supported")
         self.expect("int")
         decls = []
         while True:

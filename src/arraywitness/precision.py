@@ -108,7 +108,8 @@ def _absorb(facts: ProgramFacts, scope, guards_of, roots=(), scalars=(), arrays=
     taken in rounds, each in program order: a scalar counts from the moment
     it becomes relevant, an array from the next round on. That order fixes
     the order of the array reads returned, and so of the a2 findings; the
-    heap keyed by (round, position) keeps it and takes each assignment once.
+    heap keyed by (round, ``loc``), as locations run in program order, keeps
+    it and takes each assignment once.
     Returns the relevant scalars, the array reads reached (one per location)
     and the assignments taken.
     """
@@ -125,9 +126,8 @@ def _absorb(facts: ProgramFacts, scope, guards_of, roots=(), scalars=(), arrays=
             return
         names.add(name)
         for d in (facts.writes if array else facts.defs).get(name, ()):
-            q = facts.order[id(d)]
             if scope(d):
-                heapq.heappush(heap, (rnd + (array or q < pos), q, d))
+                heapq.heappush(heap, (rnd + (array or d.loc < pos), d.loc, d))
 
     def absorb(e, rnd, pos) -> None:
         if id(e) in seen:
@@ -186,7 +186,7 @@ def _closure(facts: ProgramFacts, assertion_loc: int):
         arrays={acc.array for acc in e_imp},
     )
     s_def = {id(loop): loop for d in defs for loop in facts.loops[id(d)]}
-    in_order = sorted(s_def.values(), key=lambda loop: facts.order[id(loop)])
+    in_order = sorted(s_def.values(), key=lambda loop: loop.loc)
     return s_a, v_imp, e_imp, in_order
 
 

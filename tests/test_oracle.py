@@ -335,6 +335,14 @@ def test_differential_with_size_override(fig1):
     assert diff.sound and diff.precise_consistent is True
 
 
+def test_size_override_refuses_a_given_transformation(fig1):
+    # The override scales the original and transforms the scaled program, so a
+    # transformation passed in as well is refused, not silently dropped.
+    cfg = OracleConfig(value_domain=(0, 1), array_size_override=2)
+    with pytest.raises(ValueError, match="size override"):
+        differential_check(fig1, transform_program(fig1), cfg)
+
+
 def test_size_override_analyzes_the_scaled_program_once(fig1, monkeypatch):
     from arraywitness import analysis
 
@@ -438,9 +446,9 @@ def test_failing_assert_in_a_nested_choice_free_loop_keeps_the_outer_choices():
 
 
 def test_steps_of_a_failure_in_a_nested_choice_free_loop():
-    # Both loops run as generated code. The outer one counts its steps in a
-    # local, hands them to the inner one through the odometer, and takes them
-    # back after the call even when the inner loop's assert fails: so the
+    # Only the inner loop runs as generated code; the outer one holds a loop,
+    # so it runs on the work stack. The inner loop counts its steps in a local
+    # and hands them back to the odometer even when its assert fails: so the
     # failure is reached at exactly 147 steps.
     p = parse(
         "int i, j, k, x;\n"
@@ -452,7 +460,7 @@ def test_steps_of_a_failure_in_a_nested_choice_free_loop():
     before = _loop_template.cache_info()
     v = enumerate_runs(p, SMALL)
     after = _loop_template.cache_info()
-    assert after.hits + after.misses == before.hits + before.misses + 2
+    assert after.hits + after.misses == before.hits + before.misses + 1
     assert (v.outcome, v.steps, v.witness) == ("unsafe", 147, witness)
     at_budget = enumerate_runs(p, OracleConfig(value_domain=(0, 3), max_steps=147))
     assert (at_budget.steps, at_budget.witness) == (147, witness)
@@ -773,8 +781,9 @@ def test_access_log_of_compiled_loops(fig5):
     assert seen[:10] == "a0 b0 a1 b1 a0 b0 c0 a1 b1 c1".split()
 
 
-# Generated loop code must compile at nesting the parser accepts: CPython
-# refuses more than 20 loops nested in one function and more than 200 nested
+# Loops must run at nesting the parser accepts. Generated loop code holds one
+# loop, the innermost, so 45 nested loops run with 44 on the work stack; its
+# ifs and expressions nest in one function, where CPython refuses 200 nested
 # parentheses. Each program stays within the parser's 100 levels.
 
 

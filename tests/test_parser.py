@@ -83,9 +83,14 @@ def test_ternary_assign():
     assert isinstance(s.target, Var) and s.target.name == "x"
 
 
-def test_unsigned_accepted():
-    p = parse("unsigned int i;\nmain() { i = 0; }")
-    assert p.decls[0].name == "i"
+@pytest.mark.parametrize("text", [
+    "`unsigned int i;\nmain() { i = 0; }",
+    "int x;\n`unsigned int i, a[4];\nmain() { i = 0; }",
+], ids=["first", "second"])
+def test_unsigned_rejected_at_its_token(text):
+    # The oracle and the emitted C would model an unsigned variable as a
+    # signed int, and so disagree with a C compiler on its wrap-around.
+    _assert_error_at_backquote(text, "unsigned types are not supported")
 
 
 def test_unknown_name_rejected():
@@ -121,7 +126,7 @@ def _assert_error_at_backquote(text, message):
 
 
 @pytest.mark.parametrize("decls", ["int i, __nd_0;", "int __stub_cursor[4];",
-                                   "unsigned int __CPROVER_x;"])
+                                   "int __CPROVER_x;"])
 def test_reserved_identifier_rejected(decls):
     # Names beginning with "__" belong to the implementation (C11 7.1.3); the
     # emitted harness declares its temporaries and helpers there.

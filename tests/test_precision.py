@@ -259,7 +259,7 @@ def test_analysis_expands_each_inner_node_at_most_once(monkeypatch, program):
     visits = _count_expansions(monkeypatch)
     facts = analyze_program(program)
     assert visits[0] <= inner
-    assert sorted(facts.order, key=facts.order.get) == [id(n) for n in stmts]
+    assert list(facts.loops) == [id(n) for n in stmts]
     assert list(facts.asserts.values()) == [n for n in stmts if type(n) is astnodes.Assert]
 
 

@@ -1,6 +1,8 @@
 import pytest
 
 from arraywitness import (
+    OracleConfig,
+    differential_check,
     emit_verifiable,
     parse,
     print_program,
@@ -154,6 +156,24 @@ def test_zero_trip_loop_gets_empty_range():
         if n.lo.value > n.hi.value
     ]
     assert ranges == [(1, 0)]  # one empty range, whatever the loop's start
+
+
+# Each loop fails in a value its rewrite must not lose: the iterator's last
+# value, the iterator after the loop, and a def that an earlier iteration made.
+# A rewrite whose iterator range stops at the first value, or that drops the
+# havocs after or before the loop, passes the failure over in one of them.
+UNDER_APPROXIMATION_CASES = {
+    "last-iteration": "for (i = 0; i < 3; i++) { assert(i < 2); }",
+    "iterator-after-the-loop": "for (i = 0; i < 2; i++) { k = 0; } assert(i != 2);",
+    "def-of-an-earlier-iteration": "for (i = 0; i < 2; i++) { assert(k == 0); k = 1; }",
+}
+
+
+@pytest.mark.parametrize("case", UNDER_APPROXIMATION_CASES)
+def test_rewrite_keeps_a_failure_of_any_iteration(case):
+    p = parse(f"int i, k;\nmain() {{ {UNDER_APPROXIMATION_CASES[case]} }}")
+    diff = differential_check(p, cfg=OracleConfig(value_domain=(0, 2)))
+    assert (diff.orig_verdict.outcome, diff.trans_verdict.outcome) == ("unsafe", "unsafe")
 
 
 def test_non_unit_step_alignment_guard():
