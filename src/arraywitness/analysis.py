@@ -26,6 +26,7 @@ from .astnodes import (
     If,
     Program,
     Read,
+    TARGET_ONLY,
     Var,
     _CHILDREN,
     mentions,
@@ -136,7 +137,9 @@ class ProgramFacts:
     - ``defs``, ``writes``: scalar name -> its assignments, array name -> its
       element writes, in program order;
     - ``iterators``: the iterator names of all loops;
-    - ``asserts``: location id -> assertion, in program order.
+    - ``asserts``: location id -> assertion, in program order;
+    - ``target_only``: the first node of a ``TARGET_ONLY`` class in pre-order,
+      or None.
     """
 
     arrays: list[ArrayInfo]
@@ -147,6 +150,7 @@ class ProgramFacts:
     writes: dict[str, list[Assign]] = field(default_factory=dict)
     iterators: set[str] = field(default_factory=set)
     asserts: dict[int, Assert] = field(default_factory=dict)
+    target_only: object = None
 
 
 @dataclass(slots=True)
@@ -225,6 +229,8 @@ def _scan(root, facts: ProgramFacts) -> list[_Body]:
             continue
         elif t is Break or t is Continue:
             rec.owns_jump = True
+        elif t in TARGET_ONLY and facts.target_only is None:
+            facts.target_only = node
         expand = expand_of(t)
         if expand is not None:
             stack += expand(node)[::-1]

@@ -208,6 +208,9 @@ class Block:
 
 Stmt = Union[Assign, ChainAssign, TernaryAssign, Assert, If, For, Break, Continue, Block]
 
+# The node classes that only transformed programs hold.
+TARGET_ONLY = frozenset({Nd, NdRange, Ternary, TernaryAssign, ChainAssign})
+
 
 # ---------------------------------------------------------------------------
 # declarations / program
@@ -305,12 +308,25 @@ def clone(node):
     return cls(*args)
 
 
-def assign_locs(p: Program) -> Program:
-    """Number every node of ``p`` in pre-order, in place. Returns ``p``."""
-    nodes = walk(p)
-    next(nodes)  # the Program itself carries no location
-    for n, node in enumerate(nodes, 1):
-        node.loc = n
+def assign_locs(p: Program, max_depth: float = float("inf")) -> Program:
+    """Number every node of ``p`` in pre-order, in place. Returns ``p``, or raises
+    ``ValueError`` at a node more than ``max_depth`` levels below ``p`` (the
+    body is on level 1): a node's level is the number of open iterators."""
+    expand_of = _CHILDREN.get
+    n = 0
+    stack = [iter((*p.decls, p.body))]
+    while stack:
+        for node in stack[-1]:
+            n += 1
+            node.loc = n
+            expand = expand_of(type(node))
+            if expand is not None and (kids := expand(node)):
+                stack.append(iter(kids))
+                if len(stack) > max_depth:
+                    raise ValueError(f"program nested more than {max_depth} levels deep")
+                break
+        else:
+            stack.pop()
     return p
 
 

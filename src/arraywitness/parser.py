@@ -39,7 +39,6 @@ from .astnodes import (
     TernaryAssign,
     Var,
     assign_locs,
-    children,
 )
 
 
@@ -50,24 +49,31 @@ class ParseError(Exception):
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, message: str, source: str, pos: int) -> "ParseError":
+        """The error at offset ``pos`` of ``source``."""
+        return cls(message, source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
 
-@dataclass
+
+@dataclass(slots=True)
 class Token:
     kind: str  # 'num', 'ident', 'punct', 'eof'
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the source; an error there finds its line and column
 
 
+# Whitespace and comments match no named group, and any character that starts
+# no token matches ``bad``. ASCII only, as in C: a Unicode digit, space or
+# letter is an unexpected character.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*|/\*.*?\*/)
+    \s+ | //[^\n]* | /\*.*?\*/
   | (?P<num>\d+)
   | (?P<ident>[A-Za-z_]\w*)
   | (?P<punct>\+\+|\+=|==|!=|<=|>=|&&|\|\||[-+*/%<>=?:;,(){}\[\]])
+  | (?P<bad>.)
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE | re.DOTALL | re.ASCII,
 )
 
 # Every stage after the parser recurses on the syntax tree, and Python's stack
@@ -89,62 +95,54 @@ KEYWORDS = frozenset("""
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of ``source``, ending in one ``eof`` token, from one pass
+    that skips whitespace and comments."""
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
-            )
-        text = m.group(0)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, text, line, pos - line_start + 1))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
+        if kind is not None:
+            if kind == "bad":
+                raise ParseError.at(f"unexpected character {m.group()!r}", source, m.start())
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(source)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = tokenize(source)
         self.i = 0
         self.kinds: dict[str, str] = {}  # declared name -> SCALAR_INT or ARRAY_INT
         self.loops = 0  # the for statements open around the next token
 
     # -- token plumbing ----------------------------------------------------
 
+    # The trailing eof token keeps ``self.i`` on a token: no caller consumes
+    # it, and ``peek(1)`` is only asked for after an identifier.
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+        self.i += 1
+        return self.tokens[self.i - 1]
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "ident")
+        return self.tokens[self.i].text == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.tokens[self.i].text == text:
+            self.i += 1
             return True
         return False
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
+        tok = self.tokens[self.i]
+        if tok.text != text:
             self.error(f"expected {text!r}, found {tok.text!r}" if tok.kind != "eof"
                        else f"expected {text!r}, found end of input")
-        return self.next()
+        self.i += 1
+        return tok
 
     def expect_ident(self) -> Token:
         tok = self.peek()
@@ -153,18 +151,20 @@ class _Parser:
         return self.next()
 
     def number(self) -> int:
-        """Consume a numeric literal. Its range is checked on the digits, so
-        a literal too long for ``int()`` is a parse error as well."""
+        """Consume a decimal literal. Its range is checked on the digits, so
+        a literal too long for ``int()`` is a parse error as well. A leading
+        zero would make it octal in C, which is refused."""
         tok = self.next()
-        digits = tok.text.lstrip("0") or "0"
-        if len(digits) > len(str(INT_MAX)) or int(digits) > INT_MAX:
+        text = tok.text
+        if text[0] == "0" and len(text) > 1:
+            self.error("octal literals are not supported", tok)
+        if len(text) > len(str(INT_MAX)) or int(text) > INT_MAX:
             self.error(f"integer literal exceeds {INT_MAX}", tok)
-        return int(digits)
+        return int(text)
 
     def error(self, message: str, tok: Token | None = None):
         """Raise at ``tok``, or at the next token when none is given."""
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError.at(message, self.source, (tok or self.peek()).pos)
 
     def resolve(self, tok: Token, kind: str, what: str = "variable") -> str:
         """The identifier at ``tok``, which must name a declared ``kind``;
@@ -344,7 +344,7 @@ class _Parser:
         expr = self.primary()
         while True:
             tok = self.peek()
-            prec = PRECEDENCE.get(tok.text, 0) if tok.kind == "punct" else 0
+            prec = PRECEDENCE.get(tok.text, 0)
             if prec < min_prec:
                 return expr
             self.next()
@@ -382,24 +382,16 @@ class _Parser:
         self.error(f"expected expression, found {tok.text!r}")
 
 
-def _check_depth(p: Program) -> None:
-    """Bound the tree's depth. Operator chains are built in a loop, so the
-    parser's own recursion does not bound it."""
-    stack = [(p.body, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise ParseError(f"program nested more than {MAX_DEPTH} levels deep", 0, 0)
-        stack += [(c, depth + 1) for c in children(node)]
-
-
 def parse(source: str) -> Program:
     """Parse source text into a located, name-resolved :class:`Program`."""
-    parser = _Parser(tokenize(source))
+    parser = _Parser(source)
     try:
         p = parser.program()
     except RecursionError:
-        tok = parser.peek()
-        raise ParseError("program nested too deeply to parse", tok.line, tok.col) from None
-    _check_depth(p)
-    return assign_locs(p)
+        raise ParseError.at("program nested too deeply to parse", source, parser.peek().pos) from None
+    # Operator chains are built in a loop, so the parser's own recursion does
+    # not bound the tree's depth; the numbering walk does.
+    try:
+        return assign_locs(p, MAX_DEPTH)
+    except ValueError as e:
+        raise ParseError(str(e), 0, 0) from None

@@ -5,6 +5,9 @@ Every array gets a witness pair: a witness index fixed once per run by
 index. Array accesses become guarded uses of the witness variable; loop
 bodies are kept (once) while loop headers are dropped, with nondeterministic
 re-assignments over-approximating the effect of the removed iterations.
+
+The output is built of new nodes, each leaf of the source that it keeps
+copied, so the source program is left as it was.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .astnodes import (
     assign_locs,
     clone,
     mentions,
-    walk,
 )
 
 
@@ -53,7 +55,9 @@ class TransformContext:
     decl_order: dict[str, int]
     aux_decls: list[Decl]
     taken_names: set[str]
-    trailing_nds: set[int]  # ids of the iterator nd-assigns added after loops
+    # The iterator nd-assigns added after loops, by id. Held here, a pruned
+    # one is never freed, so no later node can take its id.
+    trailing_nds: dict[int, Assign]
 
 
 @dataclass
@@ -77,8 +81,12 @@ def transform_expr(e, ctx: TransformContext):
                 _read(info.witness_var),
                 Nd(),
             )
-        case _:
-            return e
+        case Read(Var(name)):
+            return _read(name)
+        case Const(value):
+            return Const(value)
+        case _:  # input()
+            return clone(e)
 
 
 def _nd_assign(name: str, ctx: TransformContext) -> Assign:
@@ -121,7 +129,7 @@ def transform_loop(s: For, ctx: TransformContext) -> list[Stmt]:
     # The original header always runs its init and leaves the iterator at its
     # exit value; nd() after the body keeps later reads over-approximated.
     trailing = Assign(Var(s.iterator), Nd())
-    ctx.trailing_nds.add(id(trailing))
+    ctx.trailing_nds[id(trailing)] = trailing
     post.append(trailing)
     body = transform_stmt(s.body, ctx)
 
@@ -130,9 +138,9 @@ def transform_loop(s: For, ctx: TransformContext) -> list[Stmt]:
         # break/continue still bind to a loop that runs the body at most once.
         once = _fresh_scalar("once", ctx)
         trip = For(once, Const(0), BinOp("<", _read(once), Const(1)),
-                   BinOp("+", _read(once), Const(1)), Block(body))
-        guarded = Block(
-            pre + [Assign(Var(s.iterator), _iterator_nd_bound(summary, ctx)), trip]
+                   BinOp("+", _read(once), Const(1)), _block(body, ctx))
+        guarded = _block(
+            pre + [Assign(Var(s.iterator), _iterator_nd_bound(summary, ctx)), trip], ctx
         )
         return [If(NdRange(Const(0), Const(1)), guarded)] + post
 
@@ -153,9 +161,9 @@ def transform_loop(s: For, ctx: TransformContext) -> list[Stmt]:
             BinOp("%", _read(s.iterator), Const(bound.step)),
             Const(bound.start % bound.step),
         )
-        inner = [If(aligned, Block(body))]
-    guarded = Block(
-        pre + [Assign(Var(s.iterator), _iterator_nd_bound(summary, ctx))] + inner
+        inner = [If(aligned, _block(body, ctx))]
+    guarded = _block(
+        pre + [Assign(Var(s.iterator), _iterator_nd_bound(summary, ctx))] + inner, ctx
     )
     return [If(NdRange(Const(0), Const(1)), guarded)] + post
 
@@ -178,44 +186,42 @@ def transform_stmt(s, ctx: TransformContext) -> list[Stmt]:
                     clone(rhs),
                 )
             ]
-        case Assign(Var() as target, value):
-            return [Assign(target, transform_expr(value, ctx))]
+        case Assign(Var(name), value):
+            return [Assign(Var(name), transform_expr(value, ctx))]
         case For():
             return transform_loop(s, ctx)
         case If(cond, then, orelse):
             cond, then = transform_expr(cond, ctx), transform_stmt(then, ctx)
             if orelse is None:
-                return [If(cond, _as_stmt(then))]
-            return [If(cond, _as_then(then), _as_stmt(transform_stmt(orelse, ctx)))]
+                return [If(cond, _as_stmt(then, ctx))]
+            orelse = _as_stmt(transform_stmt(orelse, ctx), ctx)
+            return [If(cond, _as_stmt(then, ctx, braced_if=True), orelse)]
         case Assert(cond):
             return [Assert(transform_expr(cond, ctx))]
         case Break() | Continue():
-            return [s]
+            return [type(s)()]
         case _:
             raise TransformError(f"unsupported statement: {type(s).__name__}")
 
 
-def _as_stmt(stmts: list[Stmt]) -> Stmt:
-    if len(stmts) == 1:
+def _block(stmts: list[Stmt], ctx: TransformContext) -> Block:
+    """A block of ``stmts`` without the trailing iterator nd-assigns that are
+    certainly overwritten before any read (e.g. the next full-access loop
+    re-pins the iterator). Keeps the enumeration small without changing
+    behavior; the nd brackets for loop defs are never touched."""
+    prunable = ctx.trailing_nds
+    return Block([
+        s for n, s in enumerate(stmts)
+        if id(s) not in prunable or not _overwritten_before_read(stmts[n + 1:], s.target.name)
+    ])
+
+
+def _as_stmt(stmts: list[Stmt], ctx: TransformContext, braced_if: bool = False) -> Stmt:
+    # A conditional as the then-branch of an if-else keeps its braces: printed
+    # bare, C would bind the else to it rather than to the enclosing if.
+    if len(stmts) == 1 and not (braced_if and isinstance(stmts[0], If)):
         return stmts[0]
-    return Block(stmts)
-
-
-def _as_then(stmts: list[Stmt]) -> Stmt:
-    # A conditional as the then-branch keeps its braces: printed bare, C would
-    # bind the following else to it rather than to the enclosing if.
-    if len(stmts) == 1 and isinstance(stmts[0], If):
-        return Block(stmts)
-    return _as_stmt(stmts)
-
-
-def _check_source_grammar(p: Program) -> None:
-    for node in walk(p.body):
-        if isinstance(node, (Nd, NdRange, Ternary, TernaryAssign, ChainAssign)):
-            raise TransformError(
-                f"construct {type(node).__name__} at location {node.loc} is only "
-                "valid in already-transformed programs"
-            )
+    return _block(stmts, ctx)
 
 
 def _witness_inits(arrays: list[ArrayInfo]) -> list[Stmt]:
@@ -234,23 +240,6 @@ def _witness_inits(arrays: list[ArrayInfo]) -> list[Stmt]:
     return inits
 
 
-def _prune_dead_nd(root: Block, prunable: set[int]) -> None:
-    """Drop the trailing iterator nd-assigns that are certainly overwritten
-    before any read (e.g. the next full-access loop re-pins the iterator).
-    Keeps the enumeration small without changing behavior; the nd brackets
-    for loop defs are never touched."""
-    blocks = [b for b in walk(root) if isinstance(b, Block)]
-    for b in blocks:
-        kept: list[Stmt] = []
-        for idx, s in enumerate(b.stmts):
-            if id(s) in prunable and _overwritten_before_read(
-                b.stmts[idx + 1 :], s.target.name
-            ):
-                continue
-            kept.append(s)
-        b.stmts[:] = kept
-
-
 def _overwritten_before_read(rest: list[Stmt], x: str) -> bool:
     for t in rest:
         match t:
@@ -265,10 +254,11 @@ def _overwritten_before_read(rest: list[Stmt], x: str) -> bool:
 
 def transform_with_info(p: Program, facts: ProgramFacts | None = None) -> TransformResult:
     """Transform ``p``, reusing ``facts`` about it when the caller has them."""
-    _check_source_grammar(p)
     facts = facts or analyze_program(p)
+    if (node := facts.target_only) is not None:
+        raise TransformError(f"construct {type(node).__name__} at location {node.loc} is "
+                             "only valid in already-transformed programs")
     arrays = facts.arrays
-    source = clone(p)  # transformed nodes get renumbered locations
     ctx = TransformContext(
         arrays={a.name: a for a in arrays},
         summaries=facts.summaries,
@@ -277,18 +267,13 @@ def transform_with_info(p: Program, facts: ProgramFacts | None = None) -> Transf
         taken_names={d.name for d in p.decls}
         | {a.witness_var for a in arrays}
         | {a.witness_idx for a in arrays},
-        trailing_nds=set(),
+        trailing_nds={},
     )
-    block = Block(_witness_inits(arrays) + transform_stmt(source.body, ctx))
-    _prune_dead_nd(block, ctx.trailing_nds)
-    body = block.stmts
-    decls: list[Decl] = []
-    for a in arrays:
-        decls.append(Decl(a.witness_var, SCALAR_INT))
-        decls.append(Decl(a.witness_idx, SCALAR_INT))
-    decls.extend(d for d in source.decls if d.kind != ARRAY_INT)
-    decls.extend(ctx.aux_decls)
-    out = assign_locs(Program(decls, Block(body)))
+    body = _block(_witness_inits(arrays) + transform_stmt(p.body, ctx), ctx)
+    decls = [Decl(name, SCALAR_INT) for a in arrays for name in (a.witness_var, a.witness_idx)]
+    decls += [Decl(d.name, SCALAR_INT) for d in p.decls if d.kind != ARRAY_INT]
+    decls += ctx.aux_decls
+    out = assign_locs(Program(decls, body))
     return TransformResult(out, [a.witness_idx for a in arrays])
 
 

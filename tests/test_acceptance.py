@@ -192,6 +192,18 @@ def test_oracle_outputs_match_the_pinned_digest():
         "6cda5fa50750da1f93fddb659b34773403d40906f89a5818a86cd16d7582d211")
 
 
+def test_rewrite_outputs_match_the_pinned_digest():
+    # tools/rewrite_digest.py hashes the exit status, stdout, stderr, emitted C
+    # and report of `arraywitness transform` on the fixtures, the wide programs
+    # and generated seeds 0-19, in each dialect. The full 300-seed digest is
+    # run by hand (README).
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "rewrite_digest.py"
+    proc = subprocess.run([sys.executable, str(tool), "--seeds", "20"], capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert proc.stdout.strip() == (
+        "b1a75bbe9101abe7f99a756fbb8878fb0c65664ec3a19d508c2e9eafbc2fd3b8")
+
+
 def test_oracle_digest_per_case_lines_name_each_case(monkeypatch, capsys):
     # --per-case prints each case's label, its value domain and the sha256 of
     # that case alone, then the same total digest as without the flag.

@@ -98,7 +98,7 @@ def test_unknown_name_rejected():
         parse("int i;\nmain() { j = 0; }")
 
 
-# A backquote marks the offending identifier; it is not part of the program.
+# A backquote marks the offending token; it is not part of the program.
 @pytest.mark.parametrize("text, message", [
     ("int i;\nmain() { i = 1 + `k; }", "use of undeclared identifier 'k'"),
     ("int i;\nmain() { i = 0;\n  `b[i] = 1; }", "use of undeclared array 'b'"),
@@ -110,8 +110,18 @@ def test_unknown_name_rejected():
     ("int i;\nint a[4];\nmain() { i = `a = 0; }",
      "assignment target 'a' must be a scalar, not an array"),
     ("int i;\nint `i[4];\nmain() { i = 0; }", "identifier 'i' declared more than once"),
+    # C reads 010 as 8 (C11 6.4.4.1), so a leading zero is refused, not dropped.
+    ("int x;\nmain() { x = `010; }", "octal literals are not supported"),
+    ("int a[`08];\nmain() { }", "octal literals are not supported"),
+    ("int i;\nint a[4];\nmain() { for (i = 0; i < 4; i += `02) { a[i] = 0; } }",
+     "octal literals are not supported"),
+    # Digits, spaces and letters are ASCII, as gcc reads them.
+    ("int x;\nmain() { x = `\u0663; }", "unexpected character '\u0663'"),
+    ("int x;\nmain() {`\u00a0x = 0; }", "unexpected character '\\xa0'"),
+    ("int x`\u00e9;\nmain() { }", "unexpected character '\u00e9'"),
 ], ids=["undeclared-scalar", "undeclared-array", "indexed-scalar", "array-read",
-        "array-iterator", "array-chain-target", "duplicate"])
+        "array-iterator", "array-chain-target", "duplicate", "octal-literal", "octal-size",
+        "octal-step", "arabic-indic-digit", "no-break-space", "non-ascii-letter"])
 def test_name_error_points_at_its_identifier(text, message):
     _assert_error_at_backquote(text, message)
 

@@ -13,11 +13,12 @@ from arraywitness import (
     generate_program,
     parse,
     precision,
+    print_program,
     transform_with_info,
 )
 from arraywitness.astnodes import asserts_of, loops_of
 
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
 
 FIXTURES = ("fig1.c", "fig1_small.c", "fig5.c", "fig5_small.c", "fig7.c", "fig7_small.c")
 
@@ -216,6 +217,29 @@ def test_transform_work_grows_linearly_with_assertions(monkeypatch):
         return visits[0]
 
     assert work(32) <= 5 * work(8)
+
+
+def _inner_nodes(p) -> int:
+    return sum(1 for n in astnodes.walk(p) if type(n) in astnodes._CHILDREN)
+
+
+@pytest.mark.parametrize("name", ["fig1.c", "fig5.c", "fig7.c", "wide-8"])
+def test_parse_and_transform_expand_each_node_about_once(monkeypatch, name):
+    # parse numbers the tree and bounds its depth in one walk. The transform
+    # builds new nodes, so it needs no copy of its input, and it checks the
+    # source grammar and prunes as it builds: one walk numbers its output, and
+    # the pruning rule looks ahead a little.
+    text = print_program(_wide_program(8)) if name == "wide-8" else fixture_path(name).read_text()
+    program = parse(text)
+    facts = analyze_program(program)
+    inner = _inner_nodes(program)
+    visits = _count_expansions(monkeypatch)
+    assert parse(text) == program
+    assert visits[0] <= inner
+    visits[0] = 0
+    out = transform_with_info(program, facts).program
+    work = visits[0]
+    assert work < 1.25 * _inner_nodes(out)
 
 
 def _ladder(d: int):

@@ -195,6 +195,14 @@ def test_source_grammar_rejects_target_constructs():
         transform_program(parse("int a, b;\nmain() { a = b = 1; }"))
 
 
+def test_source_grammar_error_names_the_first_target_construct():
+    # Pre-order: nd(0, 1), the left operand, comes before the ternary and nd().
+    p = parse("int x, y;\nmain() { x = 0; y = nd(0, 1) + (x > 0 ? nd() : 1); }")
+    (first,) = [n for n in walk(p) if isinstance(n, NdRange)]
+    with pytest.raises(TransformError, match=f"^construct NdRange at location {first.loc} is"):
+        transform_program(p)
+
+
 def test_transformed_output_reparses(fig5):
     t = transform_program(fig5)
     assert parse(print_program(t)) == t
