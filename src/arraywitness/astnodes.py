@@ -10,7 +10,7 @@ Nodes compare structurally (dataclass equality), including location ids, which
 are assigned in pre-order by ``assign_locs`` so that print/parse round trips
 preserve them. Nodes are slotted: they carry only their declared fields.
 
-``children`` and ``walk`` expand nodes through one child table
+``walk`` and ``assign_locs`` expand nodes through one child table
 (``_CHILDREN``); ``walk`` visits a subtree in pre-order from an explicit
 stack. ``clone`` copies a subtree field by field.
 """
@@ -262,12 +262,6 @@ _CHILDREN: dict[type, Callable] = {
     Ternary: attrgetter("cond", "then", "orelse"),
     NdRange: attrgetter("lo", "hi"),
 }
-
-
-def children(node) -> tuple:
-    """The direct AST children of a node, in syntactic order."""
-    expand = _CHILDREN.get(type(node))
-    return tuple(expand(node)) if expand else ()
 
 
 def walk(node) -> Iterator:

@@ -5,6 +5,8 @@ __CPROVER_assume), ``svcomp`` (__VERIFIER_nondet_int and __VERIFIER_assume)
 and ``stub`` (self-contained helpers reading choices from the ND_CHOICES
 environment variable, so the file compiles and runs standalone).
 
+The harness prints in one walk of the printer, after one grammar check.
+
 ``strip_scaffolding`` inverts the lowering: the emitted text, with prototypes
 and stub bodies removed and the nd temporaries folded back, re-parses to the
 same AST that was emitted.
@@ -17,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .analysis import ProgramFacts
-from .astnodes import Input, Nd, NdRange, Program, walk
+from .astnodes import PRECEDENCE, Input, Nd, NdRange, Program
 from .grammar import validate_output_grammar
 from .precision import RULE_IDS, PrecisionVerdict
 from .printer import print_expr, print_stmt
@@ -92,39 +94,35 @@ _INPUT_DECLS = {
 
 
 class _CEmitter:
-    """The C lowering that ``printer.print_stmt`` applies to each statement."""
+    """The C lowering that ``printer.print_stmt`` applies as it prints."""
 
     def __init__(self, style: str):
         self.nd_call, self.assume = _STYLE_CALLS[style]
         self.temp_count = 0
-        self.temp_names: dict[int, str] = {}  # id(NdRange node) -> temp name
+        self.reads_input = False
 
-    def leaf(self, e) -> str:
-        """C text of the nodes ``print_expr`` hands back to the emitter."""
+    def leaf(self, e, pad: str, out: list[str]) -> str:
+        """C text of a node ``print_expr`` hands back. An ``nd(lo, hi)``
+        is drawn into a temporary on a line of its own, and ``input()`` noted."""
         match e:
             case Nd():
                 return self.nd_call
-            case NdRange():
-                return self.temp_names[id(e)]
+            case NdRange(lo, hi):
+                # The bounds print first, as right operands of >= and <=, so
+                # a range nested in one draws its temporary first.
+                lo, hi = (print_expr(b, PRECEDENCE[">="] + 1, lambda n: self.leaf(n, pad, out))
+                          for b in (lo, hi))
+                name = f"__nd_{self.temp_count}"
+                self.temp_count += 1
+                out.append(
+                    f"{pad}int {name} = {self.nd_call}; "
+                    f"{self.assume}({name} >= {lo} && {name} <= {hi});"
+                )
+                return name
             case Input():
+                self.reads_input = True
                 return "input()"
         raise EmitError(f"cannot emit expression {type(e).__name__}")
-
-    def hoist(self, exprs, indent: int, out: list[str]) -> None:
-        """Emit a temp + assume line for every nd(lo, hi) in ``exprs``."""
-        pad = "  " * indent
-        for root in exprs:
-            for node in walk(root):
-                if isinstance(node, NdRange):
-                    name = f"__nd_{self.temp_count}"
-                    self.temp_count += 1
-                    self.temp_names[id(node)] = name
-                    lo = print_expr(node.lo, 0, self.leaf)
-                    hi = print_expr(node.hi, 0, self.leaf)
-                    out.append(
-                        f"{pad}int {name} = {self.nd_call}; "
-                        f"{self.assume}({name} >= {lo} && {name} <= {hi});"
-                    )
 
 
 def emit_verifiable(p: Program, cfg: EmitConfig | None = None) -> str:
@@ -137,9 +135,12 @@ def emit_verifiable(p: Program, cfg: EmitConfig | None = None) -> str:
             f"program is not in the output grammar: {first.message} "
             f"(location {first.loc})"
         )
+    lower = _CEmitter(cfg.nd_style)
+    body = ["int main(void)"]
+    print_stmt(p.body, 0, body, lower)
     lines = ["/* loop-free, array-free harness; verify the asserts */"]
     lines.extend(_PREAMBLES[cfg.nd_style])
-    if any(isinstance(n, Input) for n in walk(p.body)):
+    if lower.reads_input:
         lines.append(_INPUT_DECLS[cfg.nd_style])
     # A variable named like a function the preamble declares or calls would
     # redeclare that function, and the C would not compile.
@@ -152,10 +153,7 @@ def emit_verifiable(p: Program, cfg: EmitConfig | None = None) -> str:
                 f"{cfg.nd_style} preamble; rename it"
             )
         lines.append(f"int {d.name};")
-    lines.append("int main(void)")
-    print_stmt(p.body, 0, lines, _CEmitter(cfg.nd_style))
-    lines.append(_END)
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, *body, _END]) + "\n"
 
 
 # One alternation of the dialects' nd calls, one of their assume calls.
@@ -188,6 +186,8 @@ def strip_scaffolding(text: str) -> str:
     temps: dict[str, str] = {}
     out_lines: list[str] = []
     for line in body.splitlines():
+        # Folded first, so a bound that reads an earlier temporary is too.
+        line = _TEMP_NAME_RE.sub(lambda t: temps.get(t[0], t[0]), line)
         m = _TEMP_RE.match(line)
         if m:
             temps[m.group(1)] = f"nd({m.group(2)}, {m.group(3)})"
@@ -196,7 +196,7 @@ def strip_scaffolding(text: str) -> str:
         if g:
             indent, cond, name, value, discard = g.groups()
             line = f"{indent}({cond}) ? {name} = {value} : {discard};"
-        out_lines.append(_TEMP_NAME_RE.sub(lambda t: temps.get(t[0], t[0]), line))
+        out_lines.append(line)
     stripped = "\n".join(out_lines)
     stripped = stripped.replace("int main(void)", "main()")
     return stripped.strip() + "\n"

@@ -5,8 +5,9 @@ by a single ``main() { ... }``. A loop or conditional body is one statement,
 braced or not; a dangling ``else`` binds to the nearest ``if``, as in C, and
 print/parse round trips both forms. The target-form constructs (``nd()``,
 ``nd(l,u)``, ternaries, guarded ternary assignments, chained assignments)
-parse as well so that printed programs round-trip. Every identifier is resolved against the declarations where it is
-read, so a name error carries the position of its token.
+parse as well so that printed programs round-trip. Every identifier is
+resolved against the declarations where it is read, so a name error carries
+the position of its token.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ statement walk, passing a lowering (see ``print_stmt``).
 
 from __future__ import annotations
 
-from typing import Callable, get_args
+from typing import Callable
 
 from .astnodes import (
     ARRAY_INT,
@@ -23,7 +23,6 @@ from .astnodes import (
     ChainAssign,
     Const,
     Continue,
-    Expr,
     For,
     If,
     Input,
@@ -34,15 +33,13 @@ from .astnodes import (
     Ternary,
     TernaryAssign,
     Var,
-    children,
 )
-
-_EXPRS = get_args(Expr)  # the expression node types
 
 
 def print_expr(e, parent_prec: int = 0, leaf: Callable[[object], str] | None = None) -> str:
     """Concrete syntax of ``e``. The C emitter passes ``leaf`` to render the
-    nodes it lowers: ``nd()``, ``nd(lo, hi)``, ``input()`` and array reads."""
+    nodes it lowers, ``nd()``, ``nd(lo, hi)`` and ``input()``, and to refuse
+    array reads."""
     match e:
         case Const(value):
             return str(value)
@@ -95,16 +92,14 @@ def print_stmt(s, indent: int, out: list[str], lower=None) -> None:
     """Append the lines of statement ``s`` to ``out``.
 
     ``lower`` is the C emitter's lowering; ``print_program`` passes none.
-    With it, the statement's own expressions first go to ``lower.hoist``,
-    which appends a temporary for each ``nd(lo, hi)`` in them; expressions
-    render through ``lower.leaf``; and a guarded assignment prints as a C
-    ``if``/``else``.
+    With it, the nodes ``print_expr`` leaves to the emitter render through
+    ``lower.leaf(e, pad, out)``, which may append lines of its own at the
+    statement's indentation: each line's text is complete before it is
+    appended, so those lines come first. A guarded assignment prints as a
+    C ``if``/``else``.
     """
     pad = "  " * indent
-    leaf = None
-    if lower is not None:
-        leaf = lower.leaf
-        lower.hoist([c for c in children(s) if isinstance(c, _EXPRS)], indent, out)
+    leaf = None if lower is None else (lambda e: lower.leaf(e, pad, out))
 
     def ex(e) -> str:
         return print_expr(e, 0, leaf)

@@ -1,5 +1,6 @@
 import json
 import shutil
+import signal
 import subprocess
 
 import jsonschema
@@ -24,7 +25,7 @@ from arraywitness.emit import EmitError, ND_STYLES, REPORT_SCHEMA
 from conftest import load_fixture
 
 
-# Six loops that are not full-access hoist twelve nd(lo, hi) temporaries, so
+# Six loops that are not full-access draw twelve nd(lo, hi) temporaries, so
 # __nd_1 is a prefix of __nd_10. Zero-trip loops draw their iterator from an
 # empty range.
 _SIX_LOOPS = "int i, x;\nint a[4];\nmain() {\n" + (
@@ -34,29 +35,39 @@ _EMPTY_LOOPS = (
     "  for (i = 0; i < 0; i++) { a[i] = x; }\n"
     "  for (i = 2; i < 1; i++) { x = a[i]; }\n}\n"
 )
+# Already in the output grammar, so it is emitted as parsed. The inner range
+# is a bound of the outer one, so its temporary is drawn first, as the oracle
+# draws it.
+_NESTED_RANGE = "int x;\nmain() { x = nd(nd(0, 1), 2); assert(x < 2); }"
+
+
+def _output_programs(name: str):
+    # Generated programs 0-199 bring chained and guarded assignments,
+    # single-trip loops, nd(lo, hi) drawn inside nested blocks, and
+    # conditionals nested in the then-branch of an if/else.
+    if name == "nested-range":
+        return [parse(_NESTED_RANGE)]
+    if name == "generated":
+        sources = [generate_program(seed) for seed in range(200)]
+    elif name == "six-loops":
+        sources = [parse(_SIX_LOOPS)]
+    elif name == "empty-loops":
+        sources = [parse(_EMPTY_LOOPS)]
+    else:
+        sources = [load_fixture(name)]
+    return [transform_with_info(p).program for p in sources]
 
 
 @pytest.mark.parametrize("style", ND_STYLES)
 @pytest.mark.parametrize(
-    "name", ["fig1.c", "fig5.c", "fig7.c", "generated", "six-loops", "empty-loops"]
+    "name",
+    ["fig1.c", "fig5.c", "fig7.c", "generated", "six-loops", "empty-loops", "nested-range"],
 )
 def test_strip_round_trip(style, name):
-    # Generated programs 0-199 bring chained and guarded assignments,
-    # single-trip loops, nd(lo, hi) hoisted inside nested blocks, and
-    # conditionals nested in the then-branch of an if/else.
-    if name == "generated":
-        programs = [generate_program(seed) for seed in range(200)]
-    elif name == "six-loops":
-        programs = [parse(_SIX_LOOPS)]
-    elif name == "empty-loops":
-        programs = [parse(_EMPTY_LOOPS)]
-    else:
-        programs = [load_fixture(name)]
-    for program in programs:
-        result = transform_with_info(program)
-        assert parse(print_program(result.program)) == result.program
-        text = emit_verifiable(result.program, EmitConfig(style))
-        assert parse(strip_scaffolding(text)) == result.program
+    for program in _output_programs(name):
+        assert parse(print_program(program)) == program
+        text = emit_verifiable(program, EmitConfig(style))
+        assert parse(strip_scaffolding(text)) == program
 
 
 def test_reparsed_single_trip_transforms_conform_and_emit_the_same():
@@ -108,6 +119,34 @@ def test_stub_style_compiles_and_runs(tmp_path, fig1_small):
         [str(exe)], env={"ND_CHOICES": "0,0,0,0,0,0,0,0"}, capture_output=True
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="gcc not available")
+def test_stub_draws_a_nested_range_inner_first(tmp_path):
+    src = tmp_path / "t.c"
+    src.write_text(emit_verifiable(parse(_NESTED_RANGE), EmitConfig("stub")))
+    exe = tmp_path / "t"
+    subprocess.run(["gcc", "-std=c99", "-o", str(exe), str(src)], check=True)
+
+    def run(choices: str) -> int:
+        return subprocess.run(
+            [str(exe)], env={"ND_CHOICES": choices}, capture_output=True
+        ).returncode
+
+    # [0, 2] is the oracle's witness: x = 2 breaks the assert.
+    assert run("0,2") == -signal.SIGABRT
+    assert run("0,1") == 0
+    assert run("2,0") == 0  # 2 is outside nd(0, 1): an infeasible path
+
+
+@pytest.mark.parametrize("style", ND_STYLES)
+def test_range_bounds_print_as_operands_of_the_comparisons(style):
+    # Unparenthesized, a bound a < b would print __nd_0 >= a < b, which C
+    # reads as (__nd_0 >= a) < b.
+    program = parse("int a, b, x;\nmain() { x = nd(a < b, a || b); }")
+    text = emit_verifiable(program, EmitConfig(style))
+    assert ">= (a < b) && __nd_0 <= (a || b));" in text
+    assert parse(strip_scaffolding(text)) == program
 
 
 def test_report_validates_against_schema(fig7):

@@ -10,6 +10,7 @@ from arraywitness import (
     classify_program,
     dependence_closure,
     emit_report,
+    emit_verifiable,
     generate_program,
     parse,
     precision,
@@ -178,7 +179,7 @@ def _wide_program(k: int, n: int = 100000):
 
 
 def _count_expansions(monkeypatch) -> list[int]:
-    # walk and children expand nodes only through the child table, so
+    # walk and assign_locs expand nodes only through the child table, so
     # counting there counts every visit to an inner node.
     visits = [0]
     for cls, expand in list(astnodes._CHILDREN.items()):
@@ -228,7 +229,9 @@ def test_parse_and_transform_expand_each_node_about_once(monkeypatch, name):
     # parse numbers the tree and bounds its depth in one walk. The transform
     # builds new nodes, so it needs no copy of its input, and it checks the
     # source grammar and prunes as it builds: one walk numbers its output, and
-    # the pruning rule looks ahead a little.
+    # the pruning rule looks ahead a little. The emitter checks the output
+    # grammar in one walk and prints without the child table, drawing each
+    # nd(lo, hi) and noting input() where the printer meets it.
     text = print_program(_wide_program(8)) if name == "wide-8" else fixture_path(name).read_text()
     program = parse(text)
     facts = analyze_program(program)
@@ -240,6 +243,9 @@ def test_parse_and_transform_expand_each_node_about_once(monkeypatch, name):
     out = transform_with_info(program, facts).program
     work = visits[0]
     assert work < 1.25 * _inner_nodes(out)
+    visits[0] = 0
+    emit_verifiable(out)
+    assert visits[0] < 1.25 * _inner_nodes(out)
 
 
 def _ladder(d: int):
