@@ -18,17 +18,17 @@ from .astnodes import (
     ArrayAccess,
     Assert,
     Assign,
-    BinOp,
     Break,
     Const,
     Continue,
     For,
     If,
     Program,
-    Read,
     TARGET_ONLY,
     Var,
     _CHILDREN,
+    _read_var,
+    _var_op_const,
     mentions,
 )
 
@@ -107,19 +107,10 @@ def loop_bound(loop: For) -> range | None:
     non-constant step, other comparisons) yields None.
     """
     it = loop.iterator
-    match loop.init, loop.test, loop.step:
-        case (
-            Const(c1),
-            BinOp("<" | "<=" as op, Read(Var(n)), Const(c2)),
-            BinOp("+", Read(Var(m)), Const(c3)),
-        ) if n == it and m == it and c3 >= 1:
-            return range(c1, c2 + (op == "<="), c3)
+    (op, c2), (plus, c3) = (_var_op_const(e, it) or (None, 0) for e in (loop.test, loop.step))
+    if type(loop.init) is Const and op in ("<", "<=") and plus == "+" and c3 >= 1:
+        return range(loop.init.value, c2 + (op == "<="), c3)
     return None
-
-
-def _read_var(e) -> str | None:
-    """The variable an expression reads when it is a bare read, else None."""
-    return e.lv.name if type(e) is Read and type(e.lv) is Var else None
 
 
 @dataclass(slots=True)
@@ -243,9 +234,9 @@ def _const_def_dominates(body, name: str) -> bool:
     counts as not dominated."""
     stmts = body.stmts if hasattr(body, "stmts") else [body]
     for s in stmts:
-        match s:
-            case Assign(Var(n), Const()) if n == name:
-                return True
+        if (type(s) is Assign and type(s.target) is Var and s.target.name == name
+                and type(s.value) is Const):
+            return True
         if mentions(s, name):
             return False
     return False

@@ -184,10 +184,9 @@ class For:
     def single_trip(self) -> bool:
         """``for (v = 0; v < 1; v++)`` whose body never mentions ``v``, kept by
         the rewrite so that a break or continue binds to a loop."""
-        match self.init, self.test, self.step:
-            case Const(0), BinOp("<", Read(Var(t)), Const(1)), BinOp("+", Read(Var(s)), Const(1)):
-                return t == s == self.iterator and not mentions(self.body, t)
-        return False
+        it, init = self.iterator, self.init
+        return (type(init) is Const and init.value == 0 and _var_op_const(self.test, it) == ("<", 1)
+                and _var_op_const(self.step, it) == ("+", 1) and not mentions(self.body, it))
 
 
 @dataclass(eq=True, slots=True)
@@ -330,6 +329,18 @@ def loops_of(p: Program) -> list[For]:
 
 def asserts_of(p: Program) -> list[Assert]:
     return [n for n in walk(p) if isinstance(n, Assert)]
+
+
+def _read_var(e) -> str | None:
+    """The variable an expression reads when it is a bare read, else None."""
+    return e.lv.name if type(e) is Read and type(e.lv) is Var else None
+
+
+def _var_op_const(e, name: str) -> tuple[str, int] | None:
+    """``(op, c)`` when ``e`` is ``name op c`` for a constant ``c``, else None."""
+    if type(e) is BinOp and _read_var(e.lhs) == name and type(e.rhs) is Const:
+        return e.op, e.rhs.value
+    return None
 
 
 def mentions(node, name: str) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .analysis import ProgramFacts
 from .astnodes import PRECEDENCE, Input, Nd, NdRange, Program
@@ -101,27 +102,32 @@ class _CEmitter:
         self.temp_count = 0
         self.reads_input = False
 
-    def leaf(self, e, pad: str, out: list[str]) -> str:
+    def leaf(self, e, pad: str, out: list[str], guarded: bool = False) -> str:
         """C text of a node ``print_expr`` hands back. An ``nd(lo, hi)``
-        is drawn into a temporary on a line of its own, and ``input()`` noted."""
-        match e:
-            case Nd():
-                return self.nd_call
-            case NdRange(lo, hi):
-                # The bounds print first, as right operands of >= and <=, so
-                # a range nested in one draws its temporary first.
-                lo, hi = (print_expr(b, PRECEDENCE[">="] + 1, lambda n: self.leaf(n, pad, out))
-                          for b in (lo, hi))
-                name = f"__nd_{self.temp_count}"
-                self.temp_count += 1
-                out.append(
-                    f"{pad}int {name} = {self.nd_call}; "
-                    f"{self.assume}({name} >= {lo} && {name} <= {hi});"
-                )
-                return name
-            case Input():
-                self.reads_input = True
-                return "input()"
+        is drawn into a temporary on a line of its own, and ``input()`` noted.
+        A ``guarded`` range, which C evaluates only under a condition, is
+        refused: its temporary would be drawn whether or not it is reached."""
+        t = type(e)
+        if t is Nd:
+            return self.nd_call
+        if t is NdRange:
+            if guarded:
+                raise EmitError(f"cannot emit nd(lo, hi) at location {e.loc}: C evaluates it "
+                                "only under a condition, but its temporary is drawn first")
+            # The bounds print first, as right operands of >= and <=, so
+            # a range nested in one draws its temporary first.
+            lo, hi = (print_expr(b, PRECEDENCE[">="] + 1, partial(self.leaf, pad=pad, out=out))
+                      for b in (e.lo, e.hi))
+            name = f"__nd_{self.temp_count}"
+            self.temp_count += 1
+            out.append(
+                f"{pad}int {name} = {self.nd_call}; "
+                f"{self.assume}({name} >= {lo} && {name} <= {hi});"
+            )
+            return name
+        if t is Input:
+            self.reads_input = True
+            return "input()"
         raise EmitError(f"cannot emit expression {type(e).__name__}")
 
 

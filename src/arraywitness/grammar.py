@@ -43,13 +43,13 @@ def _init_prefix_targets(p: Program) -> set[str]:
     """Identifiers assigned nd(lo, hi) in the leading run of init statements."""
     targets: set[str] = set()
     for s in p.body.stmts:
-        match s:
-            case ChainAssign(ts, NdRange()):
-                targets.update(ts)
-            case Assign(Var(name), NdRange()):
-                targets.add(name)
-            case _:
-                break
+        t = type(s)
+        if t is ChainAssign and type(s.value) is NdRange:
+            targets.update(s.targets)
+        elif t is Assign and type(s.target) is Var and type(s.value) is NdRange:
+            targets.add(s.target.name)
+        else:
+            break
     return targets
 
 
@@ -67,11 +67,12 @@ def validate_output_grammar(
         for d in p.decls if d.kind == ARRAY_INT
     ]
     for node in walk(p.body):
-        match node:
-            case For(loc=loc) if not node.single_trip:
-                violations.append(Violation(loc, "loop statement in output program"))
-            case ArrayAccess(array=name, loc=loc):
-                violations.append(Violation(loc, f"array access to {name!r} in output program"))
+        t = type(node)
+        if t is For and not node.single_trip:
+            violations.append(Violation(node.loc, "loop statement in output program"))
+        elif t is ArrayAccess:
+            message = f"array access to {node.array!r} in output program"
+            violations.append(Violation(node.loc, message))
     if witness_indices is not None:
         initialized = _init_prefix_targets(p)
         for name in witness_indices:

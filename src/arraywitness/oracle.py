@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .analysis import ARRAY_INT, _read_var, analyze_program, loop_bound
+from .analysis import ARRAY_INT, analyze_program, loop_bound
 from .astnodes import (
     ArrayAccess,
     Assert,
@@ -48,6 +48,7 @@ from .astnodes import (
     Ternary,
     TernaryAssign,
     Var,
+    _read_var,
     clone,
     walk,
 )
@@ -280,26 +281,29 @@ class _Machine:
     def _compile(self, e) -> tuple[Callable[[dict], int], bool]:
         """``e``'s evaluation closure, and whether it makes a choice. Each use of a
         node compiles it anew, so two statements that share one draw their own."""
-        match e:
-            case Nd() | Input():
-                choose, (lo, hi), loc = self.odo.choose, self.cfg.value_domain, e.loc
-                return (lambda state: choose(lo, hi, loc)), True
-            case NdRange(lo, hi):
-                (f, _), (g, _) = self._compile(lo), self._compile(hi)
-                choose, loc = self.odo.choose, e.loc
-                return (lambda state: choose(f(state), g(state), loc)), True
-            case Const(value):
-                return (lambda state: value), False
-            case Read(Var(name)):
+        t = type(e)
+        if t is Read:
+            if type(e.lv) is Var:
+                name = e.lv.name
                 return (lambda state: state[name]), False
-            case Read(ArrayAccess(array, index)):
-                return self._read_closure(array, index, e.loc)
-            case BinOp(op, lhs, rhs):
-                (f, a), (g, b) = self._compile(lhs), self._compile(rhs)
-                return _binop_closure(op, f, g, e.loc), a or b
-            case Ternary(cond, then, orelse):
-                (c, a), (t, b), (o, d) = (self._compile(x) for x in (cond, then, orelse))
-                return (lambda state: t(state) if c(state) != 0 else o(state)), a or b or d
+            if type(e.lv) is ArrayAccess:
+                return self._read_closure(e.lv.array, e.lv.index, e.loc)
+        elif t is BinOp:
+            (f, a), (g, b) = self._compile(e.lhs), self._compile(e.rhs)
+            return _binop_closure(e.op, f, g, e.loc), a or b
+        elif t is Const:
+            value = e.value
+            return (lambda state: value), False
+        elif t is Ternary:
+            (c, a), (then, b), (orelse, d) = (self._compile(x) for x in (e.cond, e.then, e.orelse))
+            return (lambda state: then(state) if c(state) != 0 else orelse(state)), a or b or d
+        elif t is Nd or t is Input:
+            choose, (lo, hi), loc = self.odo.choose, self.cfg.value_domain, e.loc
+            return (lambda state: choose(lo, hi, loc)), True
+        elif t is NdRange:
+            (f, _), (g, _) = self._compile(e.lo), self._compile(e.hi)
+            choose, loc = self.odo.choose, e.loc
+            return (lambda state: choose(f(state), g(state), loc)), True
         raise OracleError(f"cannot evaluate {type(e).__name__}")
 
     def _read_closure(self, array: str, index, loc: int) -> tuple[Callable[[dict], int], bool]:
@@ -378,79 +382,82 @@ class _Machine:
         beneath it. If ``s``'s own expressions make a choice, the item is a fork:
         it returns the closure that ``run`` re-runs once per combination of them."""
         build, notify, choice = self._compile, self.on_array_access, False
-        match s:
-            case Assign(Var(name), value):
-                val, choice = build(value)
+        t = type(s)
+        if t is Assign and type(s.target) is Var:
+            name, (val, choice) = s.target.name, build(s.value)
 
-                def stmt(state, work):
+            def stmt(state, work):
+                state[name] = val(state)
+        elif t is Block:
+            items = [self._bind(x) for x in s.stmts][::-1]
+
+            def stmt(state, work):
+                work += items
+        elif t is If:
+            test, choice = build(s.cond)
+            then, orelse = self._bind(s.then), None if s.orelse is None else self._bind(s.orelse)
+
+            def stmt(state, work):
+                if (taken := then if test(state) != 0 else orelse) is not None:
+                    work.append(taken)
+        elif t is Assert:
+            (test, choice), loc = build(s.cond), s.loc
+
+            def stmt(state, work):
+                if test(state) == 0:
+                    raise _Fault(loc)
+        elif t is Assign and type(s.target) is ArrayAccess:
+            array, loc = s.target.array, s.loc
+            (idx, a), (val, b) = build(s.target.index), build(s.value)
+            choice = a or b
+
+            def stmt(state, work):
+                i, arr = idx(state), state[array]
+                if not 0 <= i < len(arr):
+                    raise _out_of_bounds(array, i, len(arr), loc)
+                arr[i] = val(state)
+                if notify is not None:
+                    notify(array, i)
+        elif t is For:  # generated code, or an entry item and a marker
+            if (r := loop_bound(s)) is None:
+                raise NonConstantBound(f"loop at location {s.loc} has a non-constant bound")
+            it, body = s.iterator, s.body
+            head = 1 + isinstance(body, Block)  # a true test's steps, with the block's
+            if run := _LoopSource(self).bind(s, r, head):
+                return run
+            body = body.stmts if isinstance(body, Block) else [body]
+            marker = _Marker(self.odo, it, r, head, [self._bind(x) for x in body][::-1])
+
+            def stmt(state, work):  # its step stands for the increment to the range's start
+                state[it] = r.start - r.step
+                marker(state, work)
+        elif t is TernaryAssign and type(s.target) is Var:
+            name = s.target.name
+            (test, a), (val, b), (other, c) = (build(e) for e in (s.cond, s.value, s.discard))
+            choice = a or b or c
+
+            def stmt(state, work):  # the discarded side runs for its choices and faults only
+                if test(state) != 0:
                     state[name] = val(state)
-            case ChainAssign(targets, value):
-                val, choice = build(value)
+                else:
+                    other(state)
+        elif t is ChainAssign:
+            targets, (val, choice) = s.targets, build(s.value)
 
-                def stmt(state, work):
-                    v = val(state)
-                    for t in targets:
-                        state[t] = v
-            case Assign(ArrayAccess(array, index), value, loc):
-                (idx, a), (val, b) = build(index), build(value)
-                choice = a or b
-
-                def stmt(state, work):
-                    i, arr = idx(state), state[array]
-                    if not 0 <= i < len(arr):
-                        raise _out_of_bounds(array, i, len(arr), loc)
-                    arr[i] = val(state)
-                    if notify is not None:
-                        notify(array, i)
-            case TernaryAssign(cond, Var(name), value, discard):
-                (test, a), (val, b), (other, c) = (build(e) for e in (cond, value, discard))
-                choice = a or b or c
-
-                def stmt(state, work):  # the discarded side runs for its choices and faults only
-                    if test(state) != 0:
-                        state[name] = val(state)
-                    else:
-                        other(state)
-            case Assert(cond, loc):
-                test, choice = build(cond)
-
-                def stmt(state, work):
-                    if test(state) == 0:
-                        raise _Fault(loc)
-            case If(cond, then, orelse):
-                test, choice = build(cond)
-                then, orelse = self._bind(then), None if orelse is None else self._bind(orelse)
-
-                def stmt(state, work):
-                    if (taken := then if test(state) != 0 else orelse) is not None:
-                        work.append(taken)
-            case Block(stmts):
-                items = [self._bind(x) for x in stmts][::-1]
-
-                def stmt(state, work):
-                    work += items
-            case For(iterator=it, body=body):  # generated code, or an entry item and a marker
-                if (r := loop_bound(s)) is None:
-                    raise NonConstantBound(f"loop at location {s.loc} has a non-constant bound")
-                head = 1 + isinstance(body, Block)  # a true test's steps, with the block's
-                if run := _LoopSource(self).bind(s, r, head):
-                    return run
-                body = body.stmts if isinstance(body, Block) else [body]
-                marker = _Marker(self.odo, it, r, head, [self._bind(x) for x in body][::-1])
-
-                def stmt(state, work):  # its step stands for the increment to the range's start
-                    state[it] = r.start - r.step
-                    marker(state, work)
-            case Break():
-                def stmt(state, work):  # leaves the loop: pops through its marker
-                    while work and not isinstance(work.pop(), _Marker):
-                        pass
-            case Continue():
-                def stmt(state, work):  # ends the iteration: stops at its marker
-                    while work and not isinstance(work[-1], _Marker):
-                        work.pop()
-            case _:
-                raise OracleError(f"cannot execute {type(s).__name__}")
+            def stmt(state, work):
+                v = val(state)
+                for t in targets:
+                    state[t] = v
+        elif t is Break:
+            def stmt(state, work):  # leaves the loop: pops through its marker
+                while work and not isinstance(work.pop(), _Marker):
+                    pass
+        elif t is Continue:
+            def stmt(state, work):  # ends the iteration: stops at its marker
+                while work and not isinstance(work[-1], _Marker):
+                    work.pop()
+        else:
+            raise OracleError(f"cannot execute {type(s).__name__}")
         if choice:
             return lambda state, work: stmt
         return stmt
@@ -540,56 +547,60 @@ class _LoopSource:
         """Count ``s``'s step, check the budget and append ``s``, or raise _NotInline."""
         out, inner = self.lines, pad + "    "
         out += [f"{pad}s += {ticks}", f"{pad}if s > limit: raise _over_budget(limit)"]
-        match s:
-            case Block(stmts):
-                for x in stmts:
-                    self.ticked(x, pad)
-            case If(cond, then, orelse):
-                out.append(f"{pad}if {self.expr(cond, True)}:")
-                self.ticked(then, inner)
-                out.append(f"{pad}else:" if orelse is not None else f"{pad}else: pass")
-                if orelse is not None:
-                    self.ticked(orelse, inner)
-            case Assign(Var(name), value) if name != self.iterator:
-                out.append(f"{pad}state[{self.arg(name, name)}] = {self.expr(value)}")
-            case Assign(ArrayAccess(array, index), value):
-                a, n, size = self.array(array)
-                k = "i" if self.proven(index, array) else "k"
-                if k == "k":
-                    out += [f"{pad}k = {self.expr(index)}",
-                            f"{pad}if not 0 <= k < {size}: _oob({n}, k, {size}, {self.arg(s.loc)})"]
-                out.append(f"{pad}{a}[{k}] = {self.expr(value)}")
-                out += [f"{pad}notify({n}, {k})"] if self.notify else []
-            case Assert(cond):
-                test = self.expr(cond, True)
-                out.append(f"{pad}if not ({test}): raise _Fault({self.arg(s.loc)})")
-            case _:
-                raise _NotInline
+        t = type(s)
+        if t is Assign and type(s.target) is Var and s.target.name != self.iterator:
+            name = s.target.name
+            out.append(f"{pad}state[{self.arg(name, name)}] = {self.expr(s.value)}")
+        elif t is Assign and type(s.target) is ArrayAccess:
+            array, index = s.target.array, s.target.index
+            a, n, size = self.array(array)
+            k = "i" if self.proven(index, array) else "k"
+            if k == "k":
+                out += [f"{pad}k = {self.expr(index)}",
+                        f"{pad}if not 0 <= k < {size}: _oob({n}, k, {size}, {self.arg(s.loc)})"]
+            out.append(f"{pad}{a}[{k}] = {self.expr(s.value)}")
+            out += [f"{pad}notify({n}, {k})"] if self.notify else []
+        elif t is Block:
+            for x in s.stmts:
+                self.ticked(x, pad)
+        elif t is If:
+            out.append(f"{pad}if {self.expr(s.cond, True)}:")
+            self.ticked(s.then, inner)
+            out.append(f"{pad}else:" if s.orelse is not None else f"{pad}else: pass")
+            if s.orelse is not None:
+                self.ticked(s.orelse, inner)
+        elif t is Assert:
+            test = self.expr(s.cond, True)
+            out.append(f"{pad}if not ({test}): raise _Fault({self.arg(s.loc)})")
+        else:
+            raise _NotInline
 
     def expr(self, e, test: bool = False, wrap: bool = False) -> str:
         """``e`` as Python text, an int except in a ``test``, parenthesised for ``wrap``;
         raise _NotInline at a choice, or at anything else only the closures handle."""
-        match e:
-            case Const(value):
-                return self.arg(value)
-            case Read(Var(name)):
-                return "i" if name == self.iterator else f"state[{self.arg(name, name)}]"
-            case BinOp("/" | "%" as op, lhs, rhs):
-                return f"_divide({op!r}, {self.expr(lhs)}, {self.expr(rhs)}, {self.arg(e.loc)})"
-            case Read(ArrayAccess(array, index)):
-                a, n, size = self.array(array)
-                t = "i" if self.proven(index, array) else "t"
-                text = f"(notify({n}, {t}), {a}[{t}])[1]" if self.notify else f"{a}[{t}]"
-                if t == "t":
-                    text = (f"{text} if 0 <= (t := {self.expr(index)}) < {size} "
-                            f"else _oob({n}, t, {size}, {self.arg(e.loc)})")
-            case BinOp(op, lhs, rhs) if op in _ARITH or op in _COMPARE or op in _LOGIC:
-                logic = _LOGIC.get(op)
-                lhs, rhs = self.expr(lhs, bool(logic), True), self.expr(rhs, bool(logic), True)
-                text = f"{lhs} {logic or op} {rhs}"
-                text = text if test or op in _ARITH else f"1 if {text} else 0"
-            case _:
-                raise _NotInline
+        t = type(e)
+        if t is Read and type(e.lv) is Var:
+            name = e.lv.name
+            return "i" if name == self.iterator else f"state[{self.arg(name, name)}]"
+        elif t is Const:
+            return self.arg(e.value)
+        elif t is BinOp and e.op in _DIVIDE:
+            return f"_divide({e.op!r}, {self.expr(e.lhs)}, {self.expr(e.rhs)}, {self.arg(e.loc)})"
+        elif t is BinOp and (e.op in _ARITH or e.op in _COMPARE or e.op in _LOGIC):
+            op, logic = e.op, _LOGIC.get(e.op)
+            lhs, rhs = self.expr(e.lhs, bool(logic), True), self.expr(e.rhs, bool(logic), True)
+            text = f"{lhs} {logic or op} {rhs}"
+            text = text if test or op in _ARITH else f"1 if {text} else 0"
+        elif t is Read and type(e.lv) is ArrayAccess:
+            array, index = e.lv.array, e.lv.index
+            a, n, size = self.array(array)
+            k = "i" if self.proven(index, array) else "t"
+            text = f"(notify({n}, {k}), {a}[{k}])[1]" if self.notify else f"{a}[{k}]"
+            if k == "t":
+                text = (f"{text} if 0 <= (t := {self.expr(index)}) < {size} "
+                        f"else _oob({n}, t, {size}, {self.arg(e.loc)})")
+        else:
+            raise _NotInline
         return f"({text})" if wrap else text
 
 

@@ -18,22 +18,21 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .analysis import ProgramFacts, _read_var, analyze_program
+from .analysis import ProgramFacts, analyze_program
 from .astnodes import (
     ArrayAccess,
     Assert,
     Assign,
     BinOp,
     Block,
-    Break,
     Const,
-    Continue,
     For,
     If,
     Input,
     Program,
     Read,
     Var,
+    _read_var,
     mentions,
     walk,
 )
@@ -84,14 +83,13 @@ def _const_or_iterator_only(e, iterator: str) -> bool:
     constants, the loop iterator and environment inputs (which the transform
     retains verbatim)."""
     for n in walk(e):
-        match n:
-            case Const() | BinOp() | Input():
-                pass
-            case Read(Var(name)) | Var(name):
-                if name != iterator:
-                    return False
-            case _:
+        t = type(n)
+        if t is Var:
+            if n.name != iterator:
                 return False
+        # A read of a variable is checked at the Var the walk visits next.
+        elif not (t is Const or t is BinOp or t is Input or t is Read and type(n.lv) is Var):
+            return False
     return True
 
 
@@ -225,40 +223,34 @@ def _def_before_use_ok(loop: For, x: str) -> bool:
 
     def stmt_ok(s, defined: bool) -> tuple[bool, bool]:
         # Returns (defined after s, still ok).
-        match s:
-            case Block(stmts):
-                for sub in stmts:
-                    defined, ok = stmt_ok(sub, defined)
-                    if not ok:
-                        return defined, False
-                return defined, True
-            case Assign(Var(name), rhs):
-                if uses(rhs) and not defined:
+        t = type(s)
+        if t is Assign and type(s.target) is Var:
+            if uses(s.value) and not defined:
+                return defined, False
+            if s.target.name == x:
+                defined = _const_or_iterator_only(s.value, loop.iterator)
+            return defined, True
+        if t is Block:
+            for sub in s.stmts:
+                defined, ok = stmt_ok(sub, defined)
+                if not ok:
                     return defined, False
-                if name == x:
-                    defined = _const_or_iterator_only(rhs, loop.iterator)
-                return defined, True
-            case Assign(ArrayAccess(_, idx), rhs):
-                if (uses(idx) or uses(rhs)) and not defined:
-                    return defined, False
-                return defined, True
-            case Assert(cond):
-                return defined, defined or not uses(cond)
-            case If(cond, then, orelse):
-                if uses(cond) and not defined:
-                    return defined, False
-                d1, ok1 = stmt_ok(then, defined)
-                if orelse is None:  # a missing else leaves x defined as before
-                    return defined and d1, ok1
-                d2, ok2 = stmt_ok(orelse, defined)
-                return d1 and d2, ok1 and ok2
-            case For():
-                if mentions(s, x):
-                    return False, False
-                return defined, True
-            case Break() | Continue():
-                return defined, True
-        return defined, True
+            return defined, True
+        if t is If:
+            if uses(s.cond) and not defined:
+                return defined, False
+            d1, ok1 = stmt_ok(s.then, defined)
+            if s.orelse is None:  # a missing else leaves x defined as before
+                return defined and d1, ok1
+            d2, ok2 = stmt_ok(s.orelse, defined)
+            return d1 and d2, ok1 and ok2
+        if t is Assign and type(s.target) is ArrayAccess:
+            return defined, defined or not (uses(s.target.index) or uses(s.value))
+        if t is Assert:
+            return defined, defined or not uses(s.cond)
+        if t is For and mentions(s, x):
+            return False, False
+        return defined, True  # break, continue, and a loop that leaves x alone
 
     _, ok = stmt_ok(loop.body, False)
     return ok
@@ -363,29 +355,30 @@ def classify(
     # d5/d6: right-hand sides of array writes in defining loops.
     for loop in s_def:
         for node in walk(loop.body):
-            match node:
-                case Assign(ArrayAccess(), rhs):
-                    for acc in _array_reads(rhs):
-                        if _read_var(acc.index) != loop.iterator:
-                            violations.append(
-                                RuleViolation(
-                                    "d5",
-                                    acc.loc,
-                                    f"array read {acc.array}[...] not indexed "
-                                    "by the defining loop's iterator",
-                                )
-                            )
-                    for x in sorted(_scalar_reads(rhs) - {loop.iterator}):
-                        if x in summaries[loop.loc].defs and not _def_before_use_ok(loop, x):
-                            violations.append(
-                                RuleViolation(
-                                    "d6",
-                                    node.loc,
-                                    f"scalar {x!r} in the right-hand side is "
-                                    "nd-bracketed without a dominating "
-                                    "re-definition",
-                                )
-                            )
+            if type(node) is not Assign or type(node.target) is not ArrayAccess:
+                continue
+            rhs = node.value
+            for acc in _array_reads(rhs):
+                if _read_var(acc.index) != loop.iterator:
+                    violations.append(
+                        RuleViolation(
+                            "d5",
+                            acc.loc,
+                            f"array read {acc.array}[...] not indexed "
+                            "by the defining loop's iterator",
+                        )
+                    )
+            for x in sorted(_scalar_reads(rhs) - {loop.iterator}):
+                if x in summaries[loop.loc].defs and not _def_before_use_ok(loop, x):
+                    violations.append(
+                        RuleViolation(
+                            "d6",
+                            node.loc,
+                            f"scalar {x!r} in the right-hand side is "
+                            "nd-bracketed without a dominating "
+                            "re-definition",
+                        )
+                    )
 
     return PrecisionVerdict(assertion_loc, violations)
 

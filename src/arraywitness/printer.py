@@ -9,6 +9,7 @@ statement walk, passing a lowering (see ``print_stmt``).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from .astnodes import (
@@ -33,59 +34,60 @@ from .astnodes import (
     Ternary,
     TernaryAssign,
     Var,
+    _var_op_const,
 )
 
 
-def print_expr(e, parent_prec: int = 0, leaf: Callable[[object], str] | None = None) -> str:
+def print_expr(e, parent_prec: int = 0, leaf: Callable[..., str] | None = None) -> str:
     """Concrete syntax of ``e``. The C emitter passes ``leaf`` to render the
     nodes it lowers, ``nd()``, ``nd(lo, hi)`` and ``input()``, and to refuse
-    array reads."""
-    match e:
-        case Const(value):
-            return str(value)
-        case Read(Var(name)):
-            return name
-        case BinOp(op, lhs, rhs):
-            prec = PRECEDENCE[op]
-            # Left-associative: the right operand needs one level more.
-            text = f"{print_expr(lhs, prec, leaf)} {op} {print_expr(rhs, prec + 1, leaf)}"
-            return f"({text})" if prec < parent_prec else text
-        case Ternary(cond, then, orelse):
-            # Always parenthesized, so nesting never needs precedence care.
-            return (
-                f"({print_expr(cond, 1, leaf)} ? {print_expr(then, 0, leaf)} : "
-                f"{print_expr(orelse, 0, leaf)})"
-            )
-        case _ if leaf is not None:
-            return leaf(e)
-        case Read(ArrayAccess(array, index)):
-            return f"{array}[{print_expr(index)}]"
-        case Nd():
-            return "nd()"
-        case NdRange(lo, hi):
-            return f"nd({print_expr(lo)}, {print_expr(hi)})"
-        case Input():
-            return "input()"
+    array reads. Under a ternary arm or on the right of ``&&`` and ``||``,
+    which C evaluates only under a condition, it calls ``leaf(n, guarded=True)``."""
+    t = type(e)
+    if t is Read and type(e.lv) is Var:
+        return e.lv.name
+    if t is Const:
+        return str(e.value)
+    if t is BinOp:
+        prec = PRECEDENCE[e.op]
+        right = leaf and partial(leaf, guarded=True) if e.op in ("&&", "||") else leaf
+        # Left-associative: the right operand needs one level more.
+        text = f"{print_expr(e.lhs, prec, leaf)} {e.op} {print_expr(e.rhs, prec + 1, right)}"
+        return f"({text})" if prec < parent_prec else text
+    if t is Ternary:
+        arm = leaf and partial(leaf, guarded=True)
+        # Always parenthesized, so nesting never needs precedence care.
+        return (
+            f"({print_expr(e.cond, 1, leaf)} ? {print_expr(e.then, 0, arm)} : "
+            f"{print_expr(e.orelse, 0, arm)})"
+        )
+    if leaf is not None:
+        return leaf(e)
+    if t is Read and type(e.lv) is ArrayAccess:
+        return f"{e.lv.array}[{print_expr(e.lv.index)}]"
+    if t is Nd:
+        return "nd()"
+    if t is NdRange:
+        return f"nd({print_expr(e.lo)}, {print_expr(e.hi)})"
+    if t is Input:
+        return "input()"
     raise TypeError(f"not an expression: {e!r}")
 
 
 def _print_lvalue(lv) -> str:
-    match lv:
-        case Var(name):
-            return name
-        case ArrayAccess(array, index):
-            return f"{array}[{print_expr(index)}]"
+    t = type(lv)
+    if t is Var:
+        return lv.name
+    if t is ArrayAccess:
+        return f"{lv.array}[{print_expr(lv.index)}]"
     raise TypeError(f"not an lvalue: {lv!r}")
 
 
 def _print_step(iterator: str, step, leaf) -> str:
-    match step:
-        case BinOp("+", Read(Var(name)), Const(1)) if name == iterator:
-            return f"{iterator}++"
-        case BinOp("+", Read(Var(name)), Const(c)) if name == iterator:
-            return f"{iterator} += {c}"
-        case _:
-            return f"{iterator} = {print_expr(step, 0, leaf)}"
+    op, c = _var_op_const(step, iterator) or (None, None)
+    if op == "+":
+        return f"{iterator}++" if c == 1 else f"{iterator} += {c}"
+    return f"{iterator} = {print_expr(step, 0, leaf)}"
 
 
 def print_stmt(s, indent: int, out: list[str], lower=None) -> None:
@@ -93,55 +95,55 @@ def print_stmt(s, indent: int, out: list[str], lower=None) -> None:
 
     ``lower`` is the C emitter's lowering; ``print_program`` passes none.
     With it, the nodes ``print_expr`` leaves to the emitter render through
-    ``lower.leaf(e, pad, out)``, which may append lines of its own at the
-    statement's indentation: each line's text is complete before it is
+    ``lower.leaf(e, pad, out, guarded)``, which may append lines of its own at
+    the statement's indentation: each line's text is complete before it is
     appended, so those lines come first. A guarded assignment prints as a
-    C ``if``/``else``.
+    C ``if``/``else``, whose two sides are guarded.
     """
     pad = "  " * indent
-    leaf = None if lower is None else (lambda e: lower.leaf(e, pad, out))
+    leaf = None if lower is None else partial(lower.leaf, pad=pad, out=out)
 
     def ex(e) -> str:
         return print_expr(e, 0, leaf)
 
-    match s:
-        case Block(stmts):
-            out.append(pad + "{")
-            for sub in stmts:
-                print_stmt(sub, indent + 1, out, lower)
-            out.append(pad + "}")
-        case Assign(target, value):
-            out.append(f"{pad}{_print_lvalue(target)} = {ex(value)};")
-        case ChainAssign(targets, value):
-            chain = " = ".join(targets)
-            out.append(f"{pad}{chain} = {ex(value)};")
-        case TernaryAssign(cond, Var(name), value, discard) if lower is None:
-            out.append(f"{pad}({ex(cond)}) ? {name} = {ex(value)} : {ex(discard)};")
-        case TernaryAssign(cond, Var(name), value, discard):
-            out.append(
-                f"{pad}if ({ex(cond)}) {{ {name} = {ex(value)}; }} "
-                f"else {{ (void)({ex(discard)}); }}"
-            )
-        case Assert(cond):
-            out.append(f"{pad}assert({ex(cond)});")
-        case If(cond, then, orelse):
-            out.append(f"{pad}if ({ex(cond)})")
-            _print_body(then, indent, out, lower)
-            if orelse is not None:
-                out.append(pad + "else")
-                _print_body(orelse, indent, out, lower)
-        case For(iterator, init, test, step, body):
-            out.append(
-                f"{pad}for ({iterator} = {ex(init)}; "
-                f"{ex(test)}; {_print_step(iterator, step, leaf)})"
-            )
-            _print_body(body, indent, out, lower)
-        case Break():
-            out.append(pad + "break;")
-        case Continue():
-            out.append(pad + "continue;")
-        case _:
-            raise TypeError(f"not a statement: {s!r}")
+    t = type(s)
+    if t is Assign:
+        out.append(f"{pad}{_print_lvalue(s.target)} = {ex(s.value)};")
+    elif t is Block:
+        out.append(pad + "{")
+        for sub in s.stmts:
+            print_stmt(sub, indent + 1, out, lower)
+        out.append(pad + "}")
+    elif t is If:
+        out.append(f"{pad}if ({ex(s.cond)})")
+        _print_body(s.then, indent, out, lower)
+        if s.orelse is not None:
+            out.append(pad + "else")
+            _print_body(s.orelse, indent, out, lower)
+    elif t is TernaryAssign and type(s.target) is Var and lower is None:
+        out.append(f"{pad}({ex(s.cond)}) ? {s.target.name} = {ex(s.value)} : {ex(s.discard)};")
+    elif t is TernaryAssign and type(s.target) is Var:
+        guarded = partial(leaf, guarded=True)
+        out.append(
+            f"{pad}if ({ex(s.cond)}) {{ {s.target.name} = {print_expr(s.value, 0, guarded)}; }} "
+            f"else {{ (void)({print_expr(s.discard, 0, guarded)}); }}"
+        )
+    elif t is Assert:
+        out.append(f"{pad}assert({ex(s.cond)});")
+    elif t is ChainAssign:
+        out.append(f"{pad}{' = '.join(s.targets)} = {ex(s.value)};")
+    elif t is For:
+        out.append(
+            f"{pad}for ({s.iterator} = {ex(s.init)}; "
+            f"{ex(s.test)}; {_print_step(s.iterator, s.step, leaf)})"
+        )
+        _print_body(s.body, indent, out, lower)
+    elif t is Break:
+        out.append(pad + "break;")
+    elif t is Continue:
+        out.append(pad + "continue;")
+    else:
+        raise TypeError(f"not a statement: {s!r}")
 
 
 def _print_body(s, indent: int, out: list[str], lower) -> None:

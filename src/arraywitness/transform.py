@@ -71,22 +71,21 @@ def _read(name: str):
 
 
 def transform_expr(e, ctx: TransformContext):
-    match e:
-        case BinOp(op, lhs, rhs):
-            return BinOp(op, transform_expr(lhs, ctx), transform_expr(rhs, ctx))
-        case Read(ArrayAccess(array, index)):
-            info = ctx.arrays[array]
-            return Ternary(
-                BinOp("==", transform_expr(index, ctx), _read(info.witness_idx)),
-                _read(info.witness_var),
-                Nd(),
-            )
-        case Read(Var(name)):
-            return _read(name)
-        case Const(value):
-            return Const(value)
-        case _:  # input()
-            return clone(e)
+    t = type(e)
+    if t is Read and type(e.lv) is Var:
+        return _read(e.lv.name)
+    if t is BinOp:
+        return BinOp(e.op, transform_expr(e.lhs, ctx), transform_expr(e.rhs, ctx))
+    if t is Const:
+        return Const(e.value)
+    if t is Read and type(e.lv) is ArrayAccess:
+        info = ctx.arrays[e.lv.array]
+        return Ternary(
+            BinOp("==", transform_expr(e.lv.index, ctx), _read(info.witness_idx)),
+            _read(info.witness_var),
+            Nd(),
+        )
+    return clone(e)  # input()
 
 
 def _nd_assign(name: str, ctx: TransformContext) -> Assign:
@@ -169,39 +168,38 @@ def transform_loop(s: For, ctx: TransformContext) -> list[Stmt]:
 
 
 def transform_stmt(s, ctx: TransformContext) -> list[Stmt]:
-    match s:
-        case Block(stmts):
-            out: list[Stmt] = []
-            for sub in stmts:
-                out.extend(transform_stmt(sub, ctx))
-            return out
-        case Assign(ArrayAccess(array, index), value):
-            info = ctx.arrays[array]
-            rhs = transform_expr(value, ctx)
-            return [
-                TernaryAssign(
-                    BinOp("==", transform_expr(index, ctx), _read(info.witness_idx)),
-                    Var(info.witness_var),
-                    rhs,
-                    clone(rhs),
-                )
-            ]
-        case Assign(Var(name), value):
-            return [Assign(Var(name), transform_expr(value, ctx))]
-        case For():
-            return transform_loop(s, ctx)
-        case If(cond, then, orelse):
-            cond, then = transform_expr(cond, ctx), transform_stmt(then, ctx)
-            if orelse is None:
-                return [If(cond, _as_stmt(then, ctx))]
-            orelse = _as_stmt(transform_stmt(orelse, ctx), ctx)
-            return [If(cond, _as_stmt(then, ctx, braced_if=True), orelse)]
-        case Assert(cond):
-            return [Assert(transform_expr(cond, ctx))]
-        case Break() | Continue():
-            return [type(s)()]
-        case _:
-            raise TransformError(f"unsupported statement: {type(s).__name__}")
+    t = type(s)
+    if t is Assign and type(s.target) is Var:
+        return [Assign(Var(s.target.name), transform_expr(s.value, ctx))]
+    if t is Block:
+        out: list[Stmt] = []
+        for sub in s.stmts:
+            out.extend(transform_stmt(sub, ctx))
+        return out
+    if t is If:
+        cond, then = transform_expr(s.cond, ctx), transform_stmt(s.then, ctx)
+        if s.orelse is None:
+            return [If(cond, _as_stmt(then, ctx))]
+        orelse = _as_stmt(transform_stmt(s.orelse, ctx), ctx)
+        return [If(cond, _as_stmt(then, ctx, braced_if=True), orelse)]
+    if t is Assign and type(s.target) is ArrayAccess:
+        info = ctx.arrays[s.target.array]
+        rhs = transform_expr(s.value, ctx)
+        return [
+            TernaryAssign(
+                BinOp("==", transform_expr(s.target.index, ctx), _read(info.witness_idx)),
+                Var(info.witness_var),
+                rhs,
+                clone(rhs),
+            )
+        ]
+    if t is Assert:
+        return [Assert(transform_expr(s.cond, ctx))]
+    if t is For:
+        return transform_loop(s, ctx)
+    if t is Break or t is Continue:
+        return [t()]
+    raise TransformError(f"unsupported statement: {type(s).__name__}")
 
 
 def _block(stmts: list[Stmt], ctx: TransformContext) -> Block:
@@ -242,11 +240,9 @@ def _witness_inits(arrays: list[ArrayInfo]) -> list[Stmt]:
 
 def _overwritten_before_read(rest: list[Stmt], x: str) -> bool:
     for t in rest:
-        match t:
-            case Assign(Var(name), value) if name == x:
-                return not mentions(value, x)
-            case ChainAssign(targets, value) if x in targets:
-                return not mentions(value, x)
+        if (type(t) is Assign and type(t.target) is Var and t.target.name == x
+                or type(t) is ChainAssign and x in t.targets):
+            return not mentions(t.value, x)
         if mentions(t, x):
             return False
     return False

@@ -19,7 +19,7 @@ from arraywitness import (
     transform_with_info,
     validate_output_grammar,
 )
-from arraywitness.astnodes import For, walk
+from arraywitness.astnodes import Assign, Const, For, NdRange, Read, Var, walk
 from arraywitness.emit import EmitError, ND_STYLES, REPORT_SCHEMA
 
 from conftest import load_fixture
@@ -39,14 +39,20 @@ _EMPTY_LOOPS = (
 # is a bound of the outer one, so its temporary is drawn first, as the oracle
 # draws it.
 _NESTED_RANGE = "int x;\nmain() { x = nd(nd(0, 1), 2); assert(x < 2); }"
+# Ranges that C evaluates whenever their statement runs: the condition of a
+# ternary or of a guarded assignment, and the left of && and ||.
+_UNGUARDED_RANGES = (
+    "int c, x;\nmain() { x = nd(0, 1) ? c : 2; x = nd(0, 1) && c; x = nd(1, 2) || c; "
+    "(nd(0, 1) < c) ? x = 1 : 2; }"
+)
 
 
 def _output_programs(name: str):
     # Generated programs 0-199 bring chained and guarded assignments,
     # single-trip loops, nd(lo, hi) drawn inside nested blocks, and
     # conditionals nested in the then-branch of an if/else.
-    if name == "nested-range":
-        return [parse(_NESTED_RANGE)]
+    if name in ("nested-range", "unguarded-ranges"):
+        return [parse(_NESTED_RANGE if name == "nested-range" else _UNGUARDED_RANGES)]
     if name == "generated":
         sources = [generate_program(seed) for seed in range(200)]
     elif name == "six-loops":
@@ -61,7 +67,8 @@ def _output_programs(name: str):
 @pytest.mark.parametrize("style", ND_STYLES)
 @pytest.mark.parametrize(
     "name",
-    ["fig1.c", "fig5.c", "fig7.c", "generated", "six-loops", "empty-loops", "nested-range"],
+    ["fig1.c", "fig5.c", "fig7.c", "generated", "six-loops", "empty-loops", "nested-range",
+     "unguarded-ranges"],
 )
 def test_strip_round_trip(style, name):
     for program in _output_programs(name):
@@ -147,6 +154,36 @@ def test_range_bounds_print_as_operands_of_the_comparisons(style):
     text = emit_verifiable(program, EmitConfig(style))
     assert ">= (a < b) && __nd_0 <= (a || b));" in text
     assert parse(strip_scaffolding(text)) == program
+
+
+# A range under a condition is drawn by the oracle only when reached, while
+# its temporary would be drawn before the statement. The first is the program
+# where that made every C path infeasible: the oracle fails it at c = 0.
+_GUARDED_RANGES = {
+    "ternary-arm": "int c, x;\nmain() { x = c > 0 ? nd(1, 0) : 2; assert(x != 2); }",
+    "right-of-and": "int c, x;\nmain() { x = c && nd(1, 0); }",
+    "right-of-or": "int c, x;\nmain() { x = c || nd(2, 3) > 2; }",
+    "guarded-value": "int c, x;\nmain() { (c > 0) ? x = nd(1, 0) : 2; }",
+    "guarded-discard": "int c, x;\nmain() { (c > 0) ? x = 2 : nd(0, 1); }",
+    "nested-arm": "int c, x;\nmain() { x = c ? 1 : (x + nd(0, 1)) * 2; }",
+}
+
+
+@pytest.mark.parametrize("style", ND_STYLES)
+@pytest.mark.parametrize("name", list(_GUARDED_RANGES))
+def test_a_range_under_a_condition_is_refused_at_its_location(style, name):
+    program = parse(_GUARDED_RANGES[name])
+    loc = next(n.loc for n in walk(program) if isinstance(n, NdRange))
+    with pytest.raises(EmitError, match=rf"^cannot emit nd\(lo, hi\) at location {loc}: "):
+        emit_verifiable(program, EmitConfig(style))
+
+
+@pytest.mark.parametrize("value", [Var("x"), Read(Const(1))], ids=["var", "read-of-a-constant"])
+def test_emitter_refuses_an_expression_it_has_no_case_for(value):
+    program = parse("int x;\nmain() { x = 0; }")
+    program.body.stmts[0] = Assign(Var("x"), value)
+    with pytest.raises(EmitError, match=f"^cannot emit expression {type(value).__name__}$"):
+        emit_verifiable(program)
 
 
 def test_report_validates_against_schema(fig7):

@@ -19,8 +19,12 @@ from arraywitness.astnodes import (
     Assert,
     Assign,
     BinOp,
+    Const,
+    For,
     NdRange,
     Read,
+    TernaryAssign,
+    Var,
     walk,
 )
 from arraywitness.oracle import (
@@ -915,3 +919,29 @@ def test_dropped_machines_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+_IN_LOOP = For("i", Const(0), BinOp("<", Read(Var("i")), Const(2)),
+               BinOp("+", Read(Var("i")), Const(1)), Assign(Var("x"), Var("x")))
+
+
+@pytest.mark.parametrize(
+    "stmt, message",
+    [
+        (Assign(Var("x"), Var("x")), "cannot evaluate Var"),
+        (Assert(Read(Const(1))), "cannot evaluate Read"),
+        (_IN_LOOP, "cannot evaluate Var"),  # generated loop code leaves it to the closures
+        (Assign(Const(0), Const(1)), "cannot execute Assign"),
+        (TernaryAssign(Const(1), ArrayAccess("x", Const(0)), Const(1), Const(1)),
+         "cannot execute TernaryAssign"),
+        (Const(0), "cannot execute Const"),
+    ],
+    ids=["var-as-expression", "read-of-a-constant", "in-a-loop", "constant-target",
+         "guarded-array-target", "expression-as-statement"],
+)
+def test_machine_refuses_a_node_it_has_no_case_for(stmt, message):
+    p = parse("int i, x;\nmain() { x = 0; }")
+    p.body.stmts[0] = stmt
+    with pytest.raises(OracleError, match=f"^{message}$") as e:
+        enumerate_runs(p, SMALL)
+    assert type(e.value) is OracleError

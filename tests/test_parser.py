@@ -8,11 +8,13 @@ from arraywitness import ParseError, parse, print_program
 from arraywitness.astnodes import (
     PRECEDENCE,
     SCALAR_INT,
+    ArrayAccess,
     Assert,
     Assign,
     BinOp,
     Block,
     ChainAssign,
+    Const,
     Decl,
     For,
     If,
@@ -28,6 +30,8 @@ from arraywitness.astnodes import (
     loops_of,
     walk,
 )
+
+from arraywitness.printer import print_expr, print_stmt
 
 from conftest import FIXTURES
 
@@ -247,6 +251,32 @@ def test_binary_operators_nest_as_in_c():
     assert parse(text("a || b && c == d < e + f * g % h")) == _assigning(mixed)
     left = BinOp("-", BinOp("-", _v("a"), _v("b")), _v("c"))
     assert parse(text("a - b - c")) == _assigning(left)
+
+
+def _print_as_statement(s) -> None:
+    print_stmt(s, 0, [])
+
+
+def _print_as_target(lv) -> None:
+    print_stmt(Assign(lv, Const(1)), 0, [])
+
+
+@pytest.mark.parametrize(
+    "print_one, node, message",
+    [
+        (print_expr, Var("x"), "not an expression"),
+        (print_expr, Read(Const(1)), "not an expression"),
+        (_print_as_statement, Const(1), "not a statement"),
+        (_print_as_statement, TernaryAssign(Const(1), ArrayAccess("a", Const(0)), Const(1),
+                                            Const(1)), "not a statement"),
+        (_print_as_target, Const(0), "not an lvalue"),
+    ],
+    ids=["var", "read-of-a-constant", "expression", "guarded-array-target", "constant-target"],
+)
+def test_printer_refuses_a_node_it_has_no_case_for(print_one, node, message):
+    with pytest.raises(TypeError) as e:
+        print_one(node)
+    assert str(e.value) == f"{message}: {node!r}"
 
 
 # Raw text for the parser: arbitrary strings, soups of the language's own

@@ -13,6 +13,7 @@ from arraywitness import (
 from arraywitness.astnodes import (
     Assign,
     ChainAssign,
+    Const,
     For,
     If,
     Nd,
@@ -22,7 +23,7 @@ from arraywitness.astnodes import (
     walk,
 )
 from arraywitness.emit import EmitError
-from arraywitness.transform import TransformError
+from arraywitness.transform import TransformContext, TransformError, transform_stmt
 
 from conftest import load_fixture
 
@@ -215,3 +216,14 @@ def test_conditional_then_branch_keeps_its_braces():
     )
     t = transform_program(p)
     assert parse(print_program(t)) == t
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [ChainAssign(["x"], Const(0)), Assign(Const(0), Const(1)), Const(0)],
+    ids=["chained", "constant-target", "expression-as-statement"],
+)
+def test_transform_stmt_refuses_a_statement_it_has_no_case_for(stmt):
+    ctx = TransformContext({}, {}, {}, [], set(), {})
+    with pytest.raises(TransformError, match=f"^unsupported statement: {type(stmt).__name__}$"):
+        transform_stmt(stmt, ctx)
