@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator
 
 # The binary operators and their binding strengths, as in C: higher binds
 # tighter, and every level associates to the left. The parser and the printer
@@ -51,7 +51,7 @@ class ArrayAccess:
     loc: int = -1
 
 
-LValue = Union[Var, ArrayAccess]
+LValue = Var | ArrayAccess
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ class Input:
     loc: int = -1
 
 
-Expr = Union[Const, Read, BinOp, Ternary, Nd, NdRange, Input]
+Expr = Const | Read | BinOp | Ternary | Nd | NdRange | Input
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ class Block:
     loc: int = -1
 
 
-Stmt = Union[Assign, ChainAssign, TernaryAssign, Assert, If, For, Break, Continue, Block]
+Stmt = Assign | ChainAssign | TernaryAssign | Assert | If | For | Break | Continue | Block
 
 # The node classes that only transformed programs hold.
 TARGET_ONLY = frozenset({Nd, NdRange, Ternary, TernaryAssign, ChainAssign})
@@ -303,8 +303,9 @@ def clone(node):
 
 def assign_locs(p: Program, max_depth: float = float("inf")) -> Program:
     """Number every node of ``p`` in pre-order, in place. Returns ``p``, or raises
-    ``ValueError`` at a node more than ``max_depth`` levels below ``p`` (the
-    body is on level 1): a node's level is the number of open iterators."""
+    ``ValueError(message, number)`` at the first node more than ``max_depth``
+    levels below ``p`` (the body is on level 1), ``number`` being the one that
+    node would get: a node's level is the number of open iterators."""
     expand_of = _CHILDREN.get
     n = 0
     stack = [iter((*p.decls, p.body))]
@@ -316,7 +317,7 @@ def assign_locs(p: Program, max_depth: float = float("inf")) -> Program:
             if expand is not None and (kids := expand(node)):
                 stack.append(iter(kids))
                 if len(stack) > max_depth:
-                    raise ValueError(f"program nested more than {max_depth} levels deep")
+                    raise ValueError(f"program nested more than {max_depth} levels deep", n + 1)
                 break
         else:
             stack.pop()

@@ -8,8 +8,9 @@ environment variable, so the file compiles and runs standalone).
 The harness prints in one walk of the printer, after one grammar check.
 
 ``strip_scaffolding`` inverts the lowering: the emitted text, with prototypes
-and stub bodies removed and the nd temporaries folded back, re-parses to the
-same AST that was emitted.
+and stub bodies removed, the nd temporaries folded back and the braces that
+the lowering put around a bare body dropped, re-parses to the same AST that
+was emitted.
 """
 
 from __future__ import annotations
@@ -172,6 +173,9 @@ _TEMP_NAME_RE = re.compile(r"\b__nd_\d+\b")
 _GUARDED_RE = re.compile(
     r"^(\s*)if \((.*)\) \{ (\w+) = (.*); \} else \{ \(void\)\((.*)\); \}$"
 )
+# The header of a bare body that the lowering braced; its brace closes on the
+# first line at the header's indentation.
+_BRACED_RE = re.compile(r"^(\s*)(?:if \(.*\)|else|for \(.*\)) \{$")
 
 
 def strip_scaffolding(text: str) -> str:
@@ -190,6 +194,7 @@ def strip_scaffolding(text: str) -> str:
     body = _ND_CALL_RE.sub("nd()", body)
 
     temps: dict[str, str] = {}
+    braced: list[str] = []  # indentation of each open braced header
     out_lines: list[str] = []
     for line in body.splitlines():
         # Folded first, so a bound that reads an earlier temporary is too.
@@ -198,10 +203,16 @@ def strip_scaffolding(text: str) -> str:
         if m:
             temps[m.group(1)] = f"nd({m.group(2)}, {m.group(3)})"
             continue
+        if braced and line == braced[-1] + "}":
+            braced.pop()
+            continue
         g = _GUARDED_RE.match(line)
         if g:
             indent, cond, name, value, discard = g.groups()
             line = f"{indent}({cond}) ? {name} = {value} : {discard};"
+        elif b := _BRACED_RE.match(line):
+            braced.append(b.group(1))
+            line = line[:-2]
         out_lines.append(line)
     stripped = "\n".join(out_lines)
     stripped = stripped.replace("int main(void)", "main()")

@@ -40,6 +40,7 @@ from .astnodes import (
     TernaryAssign,
     Var,
     assign_locs,
+    walk,
 )
 
 
@@ -383,6 +384,50 @@ class _Parser:
         self.error(f"expected expression, found {tok.text!r}")
 
 
+class _Locating(_Parser):
+    """The parser again, noting where each statement and each primary
+    expression begins. Only a program found too deep is parsed this way."""
+
+    def __init__(self, source: str):
+        super().__init__(source)
+        self.starts: dict[int, int] = {}  # id(node) -> offset of its first token
+
+    def statement(self):
+        pos = self.peek().pos
+        s = super().statement()
+        self.starts[id(s)] = pos
+        if type(s) is Assign:
+            self.starts[id(s.target)] = pos
+        elif type(s) is For:  # ``i++`` and ``i += c`` build their step unseen
+            for n in walk(s.step):
+                self.starts.setdefault(id(n), pos)
+        return s
+
+    def primary(self):
+        pos = self.peek().pos
+        parenthesized = self.at("(")
+        e = super().primary()
+        if not parenthesized:
+            self.starts[id(e)] = pos
+            if type(e) is Read:
+                self.starts[id(e.lv)] = pos
+        return e
+
+
+def _start_of(source: str, number: int) -> int:
+    """Offset of the first token of the node numbered ``number`` in ``source``,
+    a program that parses. Each node begins where the first node of its
+    pre-order walk that the locating parser noted does: an operator chain
+    where its leftmost operand does."""
+    parser = _Locating(source)
+    try:
+        p = assign_locs(parser.program())
+    except RecursionError:  # it takes more frames than the first parse; say where it gave up
+        return parser.peek().pos
+    node = next(n for n in walk(p.body) if n.loc == number)
+    return next(parser.starts[id(n)] for n in walk(node) if id(n) in parser.starts)
+
+
 def parse(source: str) -> Program:
     """Parse source text into a located, name-resolved :class:`Program`."""
     parser = _Parser(source)
@@ -395,4 +440,5 @@ def parse(source: str) -> Program:
     try:
         return assign_locs(p, MAX_DEPTH)
     except ValueError as e:
-        raise ParseError(str(e), 0, 0) from None
+        message, number = e.args
+        raise ParseError.at(message, source, _start_of(source, number)) from None

@@ -148,10 +148,17 @@ def print_stmt(s, indent: int, out: list[str], lower=None) -> None:
 
 def _print_body(s, indent: int, out: list[str], lower) -> None:
     # Bodies keep their own Block/non-Block shape so round trips are exact.
-    if isinstance(s, Block):
+    if type(s) is Block:
         print_stmt(s, indent, out, lower)
-    else:
-        print_stmt(s, indent + 1, out, lower)
+        return
+    start = len(out)
+    print_stmt(s, indent + 1, out, lower)
+    # A bare body whose own expressions the lowering drew into declarations,
+    # the only lines that begin with ``int``, is braced after its header, or
+    # C would take the first declaration for the whole body.
+    if lower is not None and out[start].lstrip().startswith("int "):
+        out[start - 1] += " {"
+        out.append("  " * indent + "}")
 
 
 def print_program(p: Program) -> str:

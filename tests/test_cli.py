@@ -135,20 +135,28 @@ def test_transformed_construct_in_input_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "rhs",
-    ["(" * 5000 + "1" + ")" * 5000, " + ".join(["1"] * 5000)],
-    ids=["nested-parentheses", "long-sum"],
+    "body",
+    ["x = " + "(" * 5000 + "1" + ")" * 5000 + ";", "x = " + " + ".join(["1"] * 5000) + ";",
+     "if (x) " * 200 + "x = 1;"],
+    ids=["nested-parentheses", "long-sum", "nested-ifs"],
 )
-def test_deep_nesting_is_a_parse_error(tmp_path, capsys, rhs):
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, body):
     deep = tmp_path / "deep.c"
-    deep.write_text(f"int x;\nmain() {{ x = {rhs}; }}")
+    deep.write_text(f"int x;\nmain() {{ {body} }}")
     assert run(["transform", str(deep)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nested" in err and err.count("\n") == 1
-    if rhs.startswith("("):
+    line, col = map(int, err.split(":")[1:3])
+    if body.startswith("x = ("):
         # The parser gives up inside the parentheses, and says where.
-        line, col = map(int, err.split(":")[1:3])
         assert line == 2 and len("main() { x = (") < col <= len("main() { x = ") + 5000, err
+    elif body.startswith("x = 1"):
+        # The first node past the limit is a sum whose first operand is the first 1.
+        assert (line, col) == (2, len("main() { x = ") + 1), err
+    else:
+        # The body is on level 1, the n-th if on level n + 1, and the variable
+        # read by the 98th if's condition on level 101.
+        assert (line, col) == (2, len("main() { ") + 97 * len("if (x) ") + len("if (") + 1), err
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,31 @@ def test_range_bounds_print_as_operands_of_the_comparisons(style):
     assert parse(strip_scaffolding(text)) == program
 
 
+# Bare bodies whose own expressions draw a range: each temporary is declared
+# on a line of its own, so the body is braced. The first is the program where
+# C took the declaration for the if's body and found an else with no if.
+_BARE_BODIES = {
+    "if-else": "int c, x;\nmain() { if (c) x = nd(0, 1); else x = nd(2, 3); assert(x < 2); }",
+    "single-trip-for": "int i, x;\nmain() { for (i = 0; i < 1; i++) x = nd(0, 1); assert(x < 1); }",
+    "inner-if-condition": "int c, x;\nmain() { if (c) if (nd(0, 1)) x = 1; else x = 2; }",
+}
+
+
+@pytest.mark.parametrize("style", ND_STYLES)
+@pytest.mark.parametrize("name", list(_BARE_BODIES))
+def test_a_bare_body_that_draws_is_braced(tmp_path, style, name):
+    program = parse(_BARE_BODIES[name])
+    text = emit_verifiable(program, EmitConfig(style))
+    assert parse(strip_scaffolding(text)) == program
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc not available")
+    src = tmp_path / "t.c"
+    src.write_text(text)
+    gcc = subprocess.run(["gcc", "-std=c99", "-fsyntax-only", str(src)],
+                         capture_output=True, text=True)
+    assert gcc.returncode == 0, gcc.stderr
+
+
 # A range under a condition is drawn by the oracle only when reached, while
 # its temporary would be drawn before the statement. The first is the program
 # where that made every C path infeasible: the oracle fails it at c = 0.

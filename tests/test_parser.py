@@ -279,6 +279,47 @@ def test_printer_refuses_a_node_it_has_no_case_for(print_one, node, message):
     assert str(e.value) == f"{message}: {node!r}"
 
 
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        # The body is on level 1 and the n-th if on level n + 1, so the
+        # variable read by the 98th if's condition is the first node on 101.
+        ("int x;\nmain() { " + "if (x) " * 97 + "x = 1; }", None),
+        ("int x;\nmain() { " + "if (x) " * 98 + "x = 1; }", 9 + 97 * 7 + 5),
+        # A loop's test reads nothing, so the first node past the limit is the
+        # variable read by the step that the 97th loop's ``i++`` stands for,
+        # which begins where the loop does.
+        ("int i, x;\nmain() { " + "for (i = 0; 1; i++) " * 98 + "x = 1; }", 9 + 96 * 20 + 1),
+    ],
+    ids=["97-ifs", "98-ifs", "98-loops"],
+)
+def test_the_depth_limit_refuses_at_the_first_node_past_it(source, where):
+    if where is None:
+        parse(source)
+        return
+    with pytest.raises(ParseError) as e:
+        parse(source)
+    assert (e.value.line, e.value.col) == (2, where)
+    assert e.value.message == "program nested more than 100 levels deep"
+
+
+def test_a_depth_error_names_a_position_inside_the_nesting():
+    # The parse that locates the node takes more frames than the first one,
+    # so past some depth of parentheses it gives up where the first did not,
+    # and the error names the token where it gave up.
+    prefix = len("main() { x = ")
+    located, gave_up = 0, 0
+    for n in itertools.count(100, 7):
+        with pytest.raises(ParseError) as e:
+            parse("int x;\nmain() { x = " + "(" * n + "x + " * 100 + "x" + ")" * n + "; }")
+        if e.value.message == "program nested too deeply to parse":
+            break
+        assert e.value.line == 2 and prefix < e.value.col <= prefix + n + 1
+        located += e.value.col == prefix + n + 1  # the sum's first operand
+        gave_up += e.value.col <= prefix + n
+    assert located and gave_up
+
+
 # Raw text for the parser: arbitrary strings, soups of the language's own
 # tokens, a small program with soup in its holes, and fixtures with a slice
 # replaced by soup or arbitrary text.
@@ -312,5 +353,5 @@ def _spliced_fixture(draw):
 def test_parse_returns_or_raises_parse_error(text):
     try:
         parse(text)
-    except ParseError:
-        pass
+    except ParseError as e:
+        assert not str(e).startswith("0:0:"), e
