@@ -303,9 +303,9 @@ def clone(node):
 
 def assign_locs(p: Program, max_depth: float = float("inf")) -> Program:
     """Number every node of ``p`` in pre-order, in place. Returns ``p``, or raises
-    ``ValueError(message, number)`` at the first node more than ``max_depth``
-    levels below ``p`` (the body is on level 1), ``number`` being the one that
-    node would get: a node's level is the number of open iterators."""
+    ``ValueError(message, node)`` at ``node``, the first node more than
+    ``max_depth`` levels below ``p`` (the body is on level 1), before numbering
+    it or anything under it: a node's level is the number of open iterators."""
     expand_of = _CHILDREN.get
     n = 0
     stack = [iter((*p.decls, p.body))]
@@ -317,7 +317,7 @@ def assign_locs(p: Program, max_depth: float = float("inf")) -> Program:
             if expand is not None and (kids := expand(node)):
                 stack.append(iter(kids))
                 if len(stack) > max_depth:
-                    raise ValueError(f"program nested more than {max_depth} levels deep", n + 1)
+                    raise ValueError(f"program nested more than {max_depth} levels deep", kids[0])
                 break
         else:
             stack.pop()

@@ -7,7 +7,8 @@ print/parse round trips both forms. The target-form constructs (``nd()``,
 ``nd(l,u)``, ternaries, guarded ternary assignments, chained assignments)
 parse as well so that printed programs round-trip. Every identifier is
 resolved against the declarations where it is read, so a name error carries
-the position of its token.
+the position of its token, and a tree deeper than ``MAX_DEPTH`` is refused at
+the first token of its first node past the limit.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class Token:
     kind: str  # 'num', 'ident', 'punct', 'eof'
     text: str
     pos: int  # offset in the source; an error there finds its line and column
+
+    def __str__(self) -> str:  # how an error names the token
+        return "end of input" if self.kind == "eof" else repr(self.text)
 
 
 # Whitespace and comments match no named group, and any character that starts
@@ -141,15 +145,14 @@ class _Parser:
     def expect(self, text: str) -> Token:
         tok = self.tokens[self.i]
         if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text!r}" if tok.kind != "eof"
-                       else f"expected {text!r}, found end of input")
+            self.error(f"expected {text!r}, found {tok}")
         self.i += 1
         return tok
 
     def expect_ident(self) -> Token:
         tok = self.peek()
         if tok.kind != "ident" or tok.text in KEYWORDS:
-            self.error(f"expected identifier, found {tok.text!r}")
+            self.error(f"expected identifier, found {tok}")
         return self.next()
 
     def number(self) -> int:
@@ -224,12 +227,12 @@ class _Parser:
         return decls
 
     def block(self) -> Block:
-        self.expect("{")
+        pos = self.expect("{").pos
         stmts = []
         while not self.at("}"):
             stmts.append(self.statement())
         self.expect("}")
-        return Block(stmts)
+        return Block(stmts, pos)
 
     def statement(self):
         tok = self.peek()
@@ -240,21 +243,21 @@ class _Parser:
             cond = self.expression()
             self.expect(")")
             then = self.statement()
-            return If(cond, then, self.statement() if self.accept("else") else None)
-        if self.accept("for"):
+            return If(cond, then, self.statement() if self.accept("else") else None, tok.pos)
+        if self.at("for"):
             return self.for_statement()
         if self.accept("assert"):
             self.expect("(")
             cond = self.expression()
             self.expect(")")
             self.expect(";")
-            return Assert(cond)
+            return Assert(cond, tok.pos)
         if self.at("break") or self.at("continue"):
             if not self.loops:
                 self.error(f"{tok.text!r} outside a loop")
             self.next()
             self.expect(";")
-            return Break() if tok.text == "break" else Continue()
+            return Break(tok.pos) if tok.text == "break" else Continue(tok.pos)
         if self.accept("("):
             # (cond) ? target = value : discard;
             cond = self.expression()
@@ -266,10 +269,10 @@ class _Parser:
             self.expect(":")
             discard = self.expression()
             self.expect(";")
-            return TernaryAssign(cond, target, value, discard)
+            return TernaryAssign(cond, target, value, discard, tok.pos)
         if tok.kind == "ident" and tok.text not in KEYWORDS:
             return self.assignment()
-        self.error(f"unexpected token {tok.text!r}")
+        self.error(f"expected statement, found {tok}")
 
     def assignment(self):
         first = self.expect_ident()
@@ -280,7 +283,7 @@ class _Parser:
             self.expect("=")
             value = self.expression()
             self.expect(";")
-            return Assign(ArrayAccess(name, index), value)
+            return Assign(ArrayAccess(name, index, first.pos), value, first.pos)
         self.expect("=")
         tokens = [first]
         while (
@@ -296,10 +299,11 @@ class _Parser:
         value = self.expression()
         self.expect(";")
         if len(targets) == 1:
-            return Assign(Var(targets[0]), value)
-        return ChainAssign(targets, value)
+            return Assign(Var(targets[0], first.pos), value, first.pos)
+        return ChainAssign(targets, value, first.pos)
 
     def for_statement(self) -> For:
+        pos = self.next().pos
         self.expect("(")
         iterator = self.resolve(self.expect_ident(), SCALAR_INT, "loop iterator")
         self.expect("=")
@@ -310,13 +314,12 @@ class _Parser:
         step_var = self.expect_ident()
         if step_var.text != iterator:
             self.error(f"loop step must update the iterator {iterator!r}", step_var)
-        if self.accept("++"):
-            step = BinOp("+", Read(Var(iterator)), Const(1))
+        if self.accept("++"):  # i + 1 and i + c, which begin where the loop does
+            step = BinOp("+", Read(Var(iterator, pos), pos), Const(1, pos), pos)
         elif self.accept("+="):
-            amount = self.peek()
-            if amount.kind != "num":
+            if self.peek().kind != "num":
                 self.error("expected integer literal after '+='")
-            step = BinOp("+", Read(Var(iterator)), Const(self.number()))
+            step = BinOp("+", Read(Var(iterator, pos), pos), Const(self.number(), pos), pos)
         else:
             self.expect("=")
             step = self.expression()
@@ -324,7 +327,7 @@ class _Parser:
         self.loops += 1
         body = self.statement()
         self.loops -= 1
-        return For(iterator, init, test, step, body)
+        return For(iterator, init, test, step, body, pos)
 
     # -- expressions -------------------------------------------------------
 
@@ -355,7 +358,7 @@ class _Parser:
     def primary(self):
         tok = self.peek()
         if tok.kind == "num":
-            return Const(self.number())
+            return Const(self.number(), tok.pos)
         if self.accept("("):
             expr = self.expression()
             self.expect(")")
@@ -365,67 +368,23 @@ class _Parser:
             if name == "nd" and self.at("("):
                 self.expect("(")
                 if self.accept(")"):
-                    return Nd()
+                    return Nd(tok.pos)
                 lo = self.expression()
                 self.expect(",")
                 hi = self.expression()
                 self.expect(")")
-                return NdRange(lo, hi)
+                return NdRange(lo, hi, tok.pos)
             if name in ("input", "user_input") and self.at("("):
                 self.expect("(")
                 self.expect(")")
-                return Input()
+                return Input(tok.pos)
             if self.accept("["):
                 name = self.resolve(tok, ARRAY_INT)
                 index = self.expression()
                 self.expect("]")
-                return Read(ArrayAccess(name, index))
-            return Read(Var(self.resolve(tok, SCALAR_INT)))
-        self.error(f"expected expression, found {tok.text!r}")
-
-
-class _Locating(_Parser):
-    """The parser again, noting where each statement and each primary
-    expression begins. Only a program found too deep is parsed this way."""
-
-    def __init__(self, source: str):
-        super().__init__(source)
-        self.starts: dict[int, int] = {}  # id(node) -> offset of its first token
-
-    def statement(self):
-        pos = self.peek().pos
-        s = super().statement()
-        self.starts[id(s)] = pos
-        if type(s) is Assign:
-            self.starts[id(s.target)] = pos
-        elif type(s) is For:  # ``i++`` and ``i += c`` build their step unseen
-            for n in walk(s.step):
-                self.starts.setdefault(id(n), pos)
-        return s
-
-    def primary(self):
-        pos = self.peek().pos
-        parenthesized = self.at("(")
-        e = super().primary()
-        if not parenthesized:
-            self.starts[id(e)] = pos
-            if type(e) is Read:
-                self.starts[id(e.lv)] = pos
-        return e
-
-
-def _start_of(source: str, number: int) -> int:
-    """Offset of the first token of the node numbered ``number`` in ``source``,
-    a program that parses. Each node begins where the first node of its
-    pre-order walk that the locating parser noted does: an operator chain
-    where its leftmost operand does."""
-    parser = _Locating(source)
-    try:
-        p = assign_locs(parser.program())
-    except RecursionError:  # it takes more frames than the first parse; say where it gave up
-        return parser.peek().pos
-    node = next(n for n in walk(p.body) if n.loc == number)
-    return next(parser.starts[id(n)] for n in walk(node) if id(n) in parser.starts)
+                return Read(ArrayAccess(name, index, tok.pos), tok.pos)
+            return Read(Var(self.resolve(tok, SCALAR_INT), tok.pos), tok.pos)
+        self.error(f"expected expression, found {tok}")
 
 
 def parse(source: str) -> Program:
@@ -436,9 +395,11 @@ def parse(source: str) -> Program:
     except RecursionError:
         raise ParseError.at("program nested too deeply to parse", source, parser.peek().pos) from None
     # Operator chains are built in a loop, so the parser's own recursion does
-    # not bound the tree's depth; the numbering walk does.
+    # not bound the tree's depth; the numbering walk does. The parser leaves in
+    # ``loc`` the offset where a node begins (-1 where its first child does), so
+    # the node past the limit, which the walk leaves unnumbered, finds its token.
     try:
         return assign_locs(p, MAX_DEPTH)
     except ValueError as e:
-        message, number = e.args
-        raise ParseError.at(message, source, _start_of(source, number)) from None
+        message, node = e.args
+        raise ParseError.at(message, source, next(n.loc for n in walk(node) if n.loc >= 0)) from None

@@ -290,8 +290,13 @@ def test_printer_refuses_a_node_it_has_no_case_for(print_one, node, message):
         # variable read by the step that the 97th loop's ``i++`` stands for,
         # which begins where the loop does.
         ("int i, x;\nmain() { " + "for (i = 0; 1; i++) " * 98 + "x = 1; }", 9 + 96 * 20 + 1),
+        # An explicit step begins where its expression does, as the init and
+        # the test do: the first node past the limit is a sum, and its first
+        # operand follows the parentheses.
+        ("int i, x;\nmain() { for (i = 0; i < 2; i = " + "(" * 60 + "x + " * 110 + "x"
+         + ")" * 60 + ") x = 1; }", len("main() { for (i = 0; i < 2; i = ") + 60 + 1),
     ],
-    ids=["97-ifs", "98-ifs", "98-loops"],
+    ids=["97-ifs", "98-ifs", "98-loops", "explicit-step"],
 )
 def test_the_depth_limit_refuses_at_the_first_node_past_it(source, where):
     if where is None:
@@ -303,21 +308,61 @@ def test_the_depth_limit_refuses_at_the_first_node_past_it(source, where):
     assert e.value.message == "program nested more than 100 levels deep"
 
 
+def _deep_sum(n: int) -> str:
+    """``x = `` and ``n`` parentheses around a 101-term sum."""
+    return "int x;\nmain() { x = " + "(" * n + "x + " * 100 + "x" + ")" * n + "; }"
+
+
 def test_a_depth_error_names_a_position_inside_the_nesting():
-    # The parse that locates the node takes more frames than the first one,
-    # so past some depth of parentheses it gives up where the first did not,
-    # and the error names the token where it gave up.
+    # The error is placed from the tree that the one parse built, so at every
+    # depth of parentheses that the parser holds it names the sum's first
+    # operand, and none names a token where a parse gave up.
     prefix = len("main() { x = ")
     located, gave_up = 0, 0
     for n in itertools.count(100, 7):
         with pytest.raises(ParseError) as e:
-            parse("int x;\nmain() { x = " + "(" * n + "x + " * 100 + "x" + ")" * n + "; }")
+            parse(_deep_sum(n))
         if e.value.message == "program nested too deeply to parse":
             break
         assert e.value.line == 2 and prefix < e.value.col <= prefix + n + 1
         located += e.value.col == prefix + n + 1  # the sum's first operand
         gave_up += e.value.col <= prefix + n
-    assert located and gave_up
+    assert located and gave_up == 0
+
+
+def _error_from_below(source: str, frames: int) -> str:
+    """The parse error of ``source``, parsed ``frames`` calls further down."""
+    if frames:
+        return _error_from_below(source, frames - 1)
+    with pytest.raises(ParseError) as e:
+        parse(source)
+    return str(e.value)
+
+
+def test_a_depth_error_does_not_depend_on_the_callers_stack():
+    for n in itertools.count(100, 7):
+        errors = {_error_from_below(_deep_sum(n), frames) for frames in (0, 50, 100)}
+        if any("too deeply" in error for error in errors):
+            break
+        assert len(errors) == 1, (n, errors)
+    assert n > 200  # deep enough for 100 more frames to matter
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("int", "1:4: expected identifier"),
+        ("int x;\nmain() { x = ", "2:14: expected expression"),
+        ("int x;\nmain() { x = 1;", "2:16: expected statement"),
+        ("main() { for (", "1:15: expected identifier"),
+        ("int x;\nmain() { (x) ? ", "2:16: expected identifier"),
+    ],
+    ids=["declaration", "expression", "statement", "loop-iterator", "guarded-target"],
+)
+def test_an_error_at_the_end_of_input_says_so(source, message):
+    with pytest.raises(ParseError) as e:
+        parse(source)
+    assert str(e.value) == f"{message}, found end of input"
 
 
 # Raw text for the parser: arbitrary strings, soups of the language's own
@@ -355,3 +400,4 @@ def test_parse_returns_or_raises_parse_error(text):
         parse(text)
     except ParseError as e:
         assert not str(e).startswith("0:0:"), e
+        assert "''" not in str(e), e  # an empty token is the end of input
